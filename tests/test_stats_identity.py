@@ -1,0 +1,99 @@
+"""Statistics-identity lock: fault-free runs reproduce a committed fixture.
+
+A change meant only to make the simulator faster must leave every
+simulated statistic exactly as it was. This test re-runs a small grid of
+fault-free simulations and compares ``cycles``, ``instructions``, the
+full ``RunResult.metrics`` dict and each pipeline's mean ROB occupancy
+against ``tests/data/stats_identity.json`` with exact equality (floats
+included: JSON round-trips them through ``repr``).
+
+The grid is every registered scheme on ``bzip2`` and ``mcf``, plus two
+sweep corners the default configurations never reach: Reunion at
+Figure 5's largest (FI 50, latency 60) point and UnSync at Figure 6's
+smallest (0.125 KB) Communication Buffer.
+
+Regenerate the fixture only when a change is *meant* to move simulated
+results::
+
+    PYTHONPATH=src python -m tests.test_stats_identity --write
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+from typing import Any, Dict, List, Tuple
+
+import pytest
+
+from repro.reunion.check_stage import ReunionParams
+from repro.schemes import available, get as get_scheme
+from repro.unsync.comm_buffer import ENTRY_BYTES
+from repro.unsync.system import UnSyncConfig
+from repro.workloads.suites import load_benchmark
+
+FIXTURE = Path(__file__).parent / "data" / "stats_identity.json"
+BENCHMARKS = ("bzip2", "mcf")
+
+
+def _cases() -> List[Tuple[str, str, str, Dict[str, Any]]]:
+    """(case id, scheme, benchmark, build_system kwargs)."""
+    cases = [(f"{scheme}/{bench}", scheme, bench, {})
+             for scheme in available() for bench in BENCHMARKS]
+    for bench in BENCHMARKS:
+        cases.append((f"reunion-fi50-lat60/{bench}", "reunion", bench,
+                      {"params": ReunionParams(fingerprint_interval=50,
+                                               comparison_latency=60)}))
+        entries = max(1, int(0.125 * 1024 // ENTRY_BYTES))
+        cases.append((f"unsync-cb0.125kb/{bench}", "unsync", bench,
+                      {"unsync": UnSyncConfig(cb_entries=entries)}))
+    return cases
+
+
+def _pipelines(system) -> List[Any]:
+    """Every core of ``system`` (pairs own two; baseline and MEEK one)."""
+    pipelines = getattr(system, "pipelines", None)
+    return list(pipelines) if pipelines is not None else [system.pipeline]
+
+
+def _measure(scheme: str, bench: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
+    system = get_scheme(scheme).build_system(load_benchmark(bench), **kwargs)
+    res = system.run()
+    return {
+        "cycles": res.cycles,
+        "instructions": res.instructions,
+        "metrics": dict(sorted(res.metrics.items())),
+        "rob_mean_occupancy": [p.rob.mean_occupancy()
+                               for p in _pipelines(system)],
+    }
+
+
+def _expected() -> Dict[str, Any]:
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("case,scheme,bench,kwargs", _cases(),
+                         ids=[c[0] for c in _cases()])
+def test_fault_free_statistics_unchanged(case, scheme, bench, kwargs):
+    expected = _expected()
+    assert case in expected, f"{case} missing from {FIXTURE.name}"
+    got = _measure(scheme, bench, kwargs)
+    want = expected[case]
+    assert got["cycles"] == want["cycles"]
+    assert got["instructions"] == want["instructions"]
+    assert got["rob_mean_occupancy"] == want["rob_mean_occupancy"]
+    assert got["metrics"] == want["metrics"]
+
+
+def test_fixture_covers_every_registered_scheme():
+    assert set(_expected()) == {c[0] for c in _cases()}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m tests.test_stats_identity --write")
+    data = {case: _measure(scheme, bench, kwargs)
+            for case, scheme, bench, kwargs in _cases()}
+    FIXTURE.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(data)} cases to {FIXTURE}")
