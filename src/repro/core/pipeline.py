@@ -34,7 +34,7 @@ from repro.core.config import CoreConfig
 from repro.core.iq import IssueQueue
 from repro.core.lsq import LSQ
 from repro.core.rob import ROB, ROBEntry, EntryState
-from repro.isa.golden import ArchState, STEP_DISPATCH, StepInfo, step_state
+from repro.isa.golden import ArchState, StepInfo, step_state
 from repro.isa.instructions import InstrClass, Instruction, Opcode
 from repro.isa.program import Program
 from repro.mem.hierarchy import MemPort
@@ -55,6 +55,12 @@ class CommitGate:
 
         Returning False leaves the instruction in the execute stage; the
         pipeline retries every cycle (Reunion: CSB full).
+
+        Admission is in program order: once a gate refuses an entry it
+        must refuse every younger one offered in the same cycle. The
+        pipeline relies on this and stops offering at the first refusal,
+        counting the refused tail in ``writeback_stall_gate`` as if each
+        entry had been offered.
         """
         return True
 
@@ -362,16 +368,17 @@ class Pipeline:
                     tracer.complete(entry.seq, entry.complete_cycle)
             ready.clear()
             return
-        still: List[ROBEntry] = []
-        for entry in ready:
-            if on_complete(entry, now):
-                entry.state = COMPLETED
-                if tracer is not None:
-                    tracer.complete(entry.seq, entry.complete_cycle)
-            else:
-                self.stats.writeback_stall_gate += 1
-                still.append(entry)
-        self._wb_ready = still
+        # in-order admission (the on_complete contract): the first
+        # refusal refuses the whole younger tail
+        for i, entry in enumerate(ready):
+            if not on_complete(entry, now):
+                self.stats.writeback_stall_gate += len(ready) - i
+                del ready[:i]
+                return
+            entry.state = COMPLETED
+            if tracer is not None:
+                tracer.complete(entry.seq, entry.complete_cycle)
+        ready.clear()
 
     def _issue(self, now: int) -> None:
         iq_entries = self.iq._entries
@@ -580,7 +587,6 @@ class Pipeline:
         buf = self._fetch_buffer
         instrs = self.program.instructions
         n_instr = len(instrs)
-        step_dispatch = STEP_DISPATCH
         tracer = self.tracer
         line_bytes = self._iline_bytes
         group_line = pc // line_bytes
@@ -599,7 +605,7 @@ class Pipeline:
                 return
             seq = self._next_seq
             self._next_seq += 1
-            info = step_dispatch[ins.op](oracle, ins)
+            info = ins.step(oracle, ins)
             if tracer is not None:
                 tracer.fetch(seq, info.pc, ins, fetch_done)
             buf.append(_Fetched(seq, info, fetch_done))

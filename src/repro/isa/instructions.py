@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 #: Number of architectural general-purpose registers. ``r0`` is hard-wired
 #: to zero, as in MIPS.
@@ -304,6 +304,21 @@ class Instruction:
                        Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
             return False
         return self.rd is not None
+
+    @cached_property
+    def step(self) -> Callable[..., Any]:
+        """Golden step handler, ``STEP_DISPATCH[op]`` resolved once per
+        static instruction (the table lookup hashes an ``Enum``, which
+        costs a Python-level call on every dynamic instruction)."""
+        from repro.isa.golden import STEP_DISPATCH
+        return STEP_DISPATCH[self.op]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # step handlers are closures: leave them out of pickles and let
+        # the copy resolve its own on first use
+        state = self.__dict__.copy()
+        state.pop("step", None)
+        return state
 
     def src_regs(self) -> Tuple[int, ...]:
         """Architectural source register numbers read by this instruction."""

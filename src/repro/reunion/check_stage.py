@@ -45,8 +45,8 @@ class ReunionParams:
     #:   sent* the fingerprint containing the serializing instruction
     #:   (i.e. the local pipeline has drained through the CHECK stage),
     #:   but not for the cross-core comparison round trip; commit still
-    #:   waits for full verification. This intermediate reading matches
-    #:   the paper's Figure 4 magnitudes best and is the default.
+    #:   waits for full verification. An intermediate reading, kept for
+    #:   ablation.
     #: * ``"cut"``  — the serializing instruction still seals its own
     #:   fingerprint (so it is verified before it commits — correctness is
     #:   identical) but the front end keeps dispatching; the in-order
@@ -141,20 +141,6 @@ class GroupMap:
         """Final member count of ``group`` (None while still open)."""
         return self._sizes.get(group)
 
-    def last_seq_of(self, group: int) -> Optional[int]:
-        """Seq of the final member (None while open)."""
-        size = self._sizes.get(group)
-        if size is None:
-            return None
-        first = 0
-        for g in range(group):
-            first += self._sizes[g]
-        return first + size - 1
-
-    @property
-    def groups_started(self) -> int:
-        return self._current + (1 if self._count else 0)
-
     @property
     def groups_closed(self) -> int:
         """Number of sealed groups (they are sealed in index order)."""
@@ -162,16 +148,23 @@ class GroupMap:
 
 
 class CheckStage:
-    """Pair-shared verification state."""
+    """Pair-shared verification state.
+
+    Per-core fingerprint state (``_fp``, ``_done_cycle``) exists only for
+    groups still awaiting comparison: the comparison drops it, so its
+    size tracks the groups in flight, not run length. A generator's
+    ``length`` is the number of the group's members hashed so far.
+    """
 
     def __init__(self, params: ReunionParams) -> None:
         self.params = params
         self.groups = GroupMap(params.fingerprint_interval)
         self._fp: List[Dict[int, FingerprintGenerator]] = [{}, {}]
-        self._completed: List[Dict[int, int]] = [{}, {}]
         self._done_cycle: List[Dict[int, int]] = [{}, {}]
         #: group -> (verified_at_cycle, fingerprints_matched)
         self._verdict: Dict[int, Tuple[int, bool]] = {}
+        #: failed comparisons awaiting rollback: group -> verdict cycle
+        self._mismatched: Dict[int, int] = {}
         #: serializing drain: group each core's front end waits on
         self.block_group: List[Optional[int]] = [None, None]
         #: pending single-shot fingerprint corruption per core (faults)
@@ -206,19 +199,24 @@ class CheckStage:
         if group in self._done_cycle[core] or group in self._verdict:
             return
         size = self.groups.size(group)
-        if size is None or self._completed[core].get(group, 0) != size:
+        fp = self._fp[core].get(group)
+        if size is None or fp is None or fp.length != size:
             return
-        self._done_cycle[core][group] = now
-        other = 1 - core
-        other_done = self._done_cycle[other].get(group)
+        other_done = self._done_cycle[1 - core].get(group)
         if other_done is None:
+            self._done_cycle[core][group] = now
             return
         verified_at = max(now, other_done) + self.params.comparison_latency
-        matched = self._fp[0][group].value == self._fp[1][group].value
+        fp0 = self._fp[0].pop(group)
+        fp1 = self._fp[1].pop(group)
+        matched = fp0.value == fp1.value
+        # nothing reads a compared group's per-core state again
+        del self._done_cycle[1 - core][group]
         self._verdict[group] = (verified_at, matched)
         self.fingerprints_compared += 1
         if not matched:
             self.mismatches += 1
+            self._mismatched[group] = verified_at
         elif group in self.corrupted_groups:
             self.aliased_corruptions += 1
         if self.events is not None:
@@ -257,7 +255,10 @@ class CheckStage:
         Call only for groups that are not already verified (re-executions
         of verified work skip hashing).
         """
-        fp = self._fp[core].setdefault(group, FingerprintGenerator())
+        fps = self._fp[core]
+        fp = fps.get(group)
+        if fp is None:
+            fp = fps[group] = FingerprintGenerator()
         if self.corrupt_next[core]:
             # a strike perturbed this instruction's output: hash a flipped
             # value so the comparison sees what the hardware would see.
@@ -265,9 +266,8 @@ class CheckStage:
             self.corrupted_groups.add(group)
             result = ((result or 0) ^ 0x1) & 0xFFFFFFFF
         fp.add(pc, result, store_addr, store_value)
-        count = self._completed[core].get(group, 0) + 1
-        self._completed[core][group] = count
-        self._check_group_done(core, group, now)
+        if fp.length == self.groups.size(group):
+            self._check_group_done(core, group, now)
 
     def is_verified(self, group: int, now: int) -> bool:
         verdict = self._verdict.get(group)
@@ -278,9 +278,11 @@ class CheckStage:
 
     def mismatch_ready(self, now: int) -> Optional[int]:
         """Oldest group whose comparison failed and is due at ``now``."""
-        candidates = [g for g, (at, ok) in self._verdict.items()
-                      if not ok and now >= at]
-        return min(candidates) if candidates else None
+        mismatched = self._mismatched
+        if not mismatched:
+            return None
+        due = [g for g, at in mismatched.items() if now >= at]
+        return min(due) if due else None
 
     # -- rollback ------------------------------------------------------------
     def reset_unverified(self, committed_seq: List[int]) -> None:
@@ -290,15 +292,13 @@ class CheckStage:
         next instruction to re-execute); verified groups stay verified so
         re-executed tails commit immediately without re-hashing.
         """
-        stale = [g for g, (_, ok) in self._verdict.items() if not ok]
-        for g in stale:
+        for g in self._mismatched:
             del self._verdict[g]
+        self._mismatched.clear()
+        # per-core state only ever belongs to not-yet-compared groups
         for core in range(2):
-            for store in (self._fp[core], self._completed[core],
-                          self._done_cycle[core]):
-                for g in [g for g in store
-                          if g not in self._verdict]:
-                    del store[g]
+            self._fp[core].clear()
+            self._done_cycle[core].clear()
             self.block_group[core] = None
 
     def needs_hash(self, group: int) -> bool:

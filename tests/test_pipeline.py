@@ -9,6 +9,8 @@ import pytest
 
 from repro.core import Core
 from repro.core.config import CoreConfig, SystemConfig
+from repro.core.pipeline import CommitGate
+from repro.core.rob import EntryState
 from repro.isa import assemble, golden
 from repro.workloads import KERNELS, load_benchmark, load_kernel
 
@@ -213,3 +215,51 @@ def test_frozen_core_makes_no_progress(sum_loop):
         core.step(now)
     assert core.pipeline.stats.committed == 0
     assert core.pipeline.stats.cycles == 50
+
+
+# ---------------------------------------------------------------------------
+# commit-gate contract: in-order post-execute admission
+# ---------------------------------------------------------------------------
+class OnePerCycleGate(CommitGate):
+    """Admits at most one finished instruction per cycle, in program order.
+
+    On every refusal it tallies the refused offers the full ready set
+    represents (finished executions still waiting for admission), counted
+    from the ROB rather than the pipeline's own ready list.
+    """
+
+    def __init__(self):
+        self.pipeline = None
+        self.next_seq = 0
+        self.admitted_at = -1
+        self.refusals = 0
+        self.refused_offers = 0
+        self.offers_after_refusal = 0
+        self._refused_at = -1
+
+    def on_complete(self, entry, now):
+        if self._refused_at == now:
+            self.offers_after_refusal += 1
+        if entry.seq == self.next_seq and self.admitted_at != now:
+            self.next_seq += 1
+            self.admitted_at = now
+            return True
+        self.refusals += 1
+        self._refused_at = now
+        self.refused_offers += sum(
+            1 for e in self.pipeline.rob._entries
+            if e.state is EntryState.ISSUED and 0 <= e.complete_cycle <= now)
+        return False
+
+
+def test_in_order_gate_stall_count_equals_refused_offers(dot_product):
+    gate = OnePerCycleGate()
+    core = Core(dot_product, gate=gate)
+    gate.pipeline = core.pipeline
+    res = core.run()
+    gold = golden.run(dot_product)
+    assert res.state.regs == gold.state.regs
+    assert gate.offers_after_refusal == 0   # stops at the first refusal
+    assert gate.refusals > 0
+    assert gate.refused_offers > gate.refusals  # whole tails were refused
+    assert res.stats.writeback_stall_gate == gate.refused_offers

@@ -1,5 +1,7 @@
 """Tests for the Reunion baseline: CRC, CSB, CheckStage, full system."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +11,9 @@ from repro.isa import assemble, golden
 from repro.redundancy.pair import BaselineSystem
 from repro.reunion.check_stage import CheckStage, GroupMap, ReunionParams
 from repro.reunion.csb import CheckStageBuffer, csb_entries_for, ENTRY_BITS
+from repro.checkpoint.snapshot import capture_system, restore_system
 from repro.reunion.fingerprint import (
-    CRC16_POLY, FingerprintGenerator, crc16, crc16_update,
+    CRC16_INIT, CRC16_POLY, FingerprintGenerator, crc16, crc16_update,
 )
 from repro.reunion.system import ReunionSystem
 
@@ -18,9 +21,30 @@ from repro.reunion.system import ReunionSystem
 # ---------------------------------------------------------------------------
 # CRC-16 fingerprints
 # ---------------------------------------------------------------------------
+def crc16_bitwise(crc, data):
+    """Reference CRC-16/CCITT-FALSE update, one bit at a time (MSB first)."""
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = ((crc << 1) ^ CRC16_POLY) & 0xFFFF
+            else:
+                crc = (crc << 1) & 0xFFFF
+    return crc
+
+
 def test_crc16_known_vector():
     # CRC-16/CCITT-FALSE of "123456789" is the classic 0x29B1
     assert crc16(b"123456789") == 0x29B1
+    assert crc16_bitwise(CRC16_INIT, b"123456789") == 0x29B1
+
+
+def test_crc16_update_matches_bitwise_reference():
+    rng = random.Random(0x1021)
+    for _ in range(2000):
+        crc = rng.randrange(0x10000)
+        data = rng.randbytes(rng.randrange(0, 17))
+        assert crc16_update(crc, data) == crc16_bitwise(crc, data)
 
 
 def test_crc16_incremental_equals_one_shot():
@@ -145,14 +169,6 @@ def test_groupmap_out_of_order_extension_rejected():
         g.assign(5)
 
 
-def test_groupmap_last_seq_of():
-    g = GroupMap(interval=3)
-    for s in range(6):
-        g.assign(s)
-    assert g.last_seq_of(0) == 2
-    assert g.last_seq_of(1) == 5
-
-
 def test_groupmap_cut_before_on_empty_group_is_noop():
     g = GroupMap(interval=10)
     # serializing as the very first instruction: no previous group to seal
@@ -212,6 +228,50 @@ def test_diverging_streams_mismatch():
                             store_value=None, now=5)
     assert stage.mismatches == 1
     assert stage.mismatch_ready(100) == 0
+
+
+def mismatch_group(stage, group, now):
+    """Complete single-member ``group`` on both cores with diverging
+    results (the stage must use fingerprint_interval=1)."""
+    stage.record_completion(0, group, pc=4 * group, result=1,
+                            store_addr=None, store_value=None, now=now)
+    stage.record_completion(1, group, pc=4 * group, result=2,
+                            store_addr=None, store_value=None, now=now)
+
+
+def test_mismatch_ready_returns_oldest_due_group():
+    stage = make_stage(fi=1, lat=5)
+    for core in (0, 1):
+        stage.on_dispatch(core, 0, False)
+        stage.on_dispatch(core, 1, False)
+    mismatch_group(stage, 1, now=10)      # group 1 due at 15
+    mismatch_group(stage, 0, now=30)      # group 0 due at 35
+    assert stage.mismatches == 2
+    assert stage.mismatch_ready(14) is None
+    assert stage.mismatch_ready(15) == 1
+    assert stage.mismatch_ready(34) == 1
+    assert stage.mismatch_ready(35) == 0  # both due: the older group
+    stage.reset_unverified([0, 0])
+    assert stage.mismatch_ready(10**9) is None
+    assert not stage.was_compared(0) and not stage.was_compared(1)
+
+
+def test_comparison_drops_per_core_group_state():
+    stage = make_stage(fi=2)
+    for core in (0, 1):
+        for seq in range(4):
+            stage.on_dispatch(core, seq, False)
+    for core in (0, 1):
+        complete_group(stage, core, 0, [0, 1], now=5)
+    complete_group(stage, 0, 1, [2, 3], now=6)
+    assert stage.was_compared(0) and not stage.was_compared(1)
+    # only the uncompared group's state is left, on the core that has it
+    assert list(map(list, stage._fp)) == [[1], []]
+    assert stage._fp[0][1].length == 2
+    assert stage._done_cycle == [{1: 6}, {}]
+    complete_group(stage, 1, 1, [2, 3], now=7)
+    assert stage._fp == stage._done_cycle == [{}, {}]
+    assert stage.is_verified(1, 7 + 5)
 
 
 def test_corrupt_next_forces_mismatch():
@@ -371,3 +431,30 @@ def test_reunion_fingerprint_count_tracks_groups(sum_loop):
     # ~1 comparison per 10 instructions (plus halt-group)
     expected = gold.instructions / 10
     assert expected * 0.8 <= res.extra["fingerprints_compared"] <= expected * 1.4
+
+
+def test_snapshot_after_dropped_group_state_restores_identically(sum_loop):
+    """A mid-run snapshot, taken once compared groups' state is gone and
+    with rollbacks in flight, restores and finishes identically."""
+    def build():
+        inv = BlockInventory([Block("rob", 80 * 72, pre_commit=True)])
+        return ReunionSystem(sum_loop, injector=FaultInjector(
+            1 / 300, seed=3, inventory=inv))
+
+    def final(system):
+        res = system.run()
+        return (res.cycles, res.instructions, res.state.regs,
+                sorted(res.state.mem.items()), res.metrics,
+                [(e.cycle, e.outcome) for e in res.fault_events])
+
+    original = build()
+    for _ in range(300):
+        original.step()
+    check = original.check
+    assert check.fingerprints_compared > 10
+    assert sum(len(fps) for fps in check._fp) < 4
+    replica = restore_system(capture_system(original, sum_loop), sum_loop)
+    result = final(original)
+    assert final(replica) == result
+    assert result == final(build())   # snapshotting does not perturb
+    assert original.rollbacks > 0
