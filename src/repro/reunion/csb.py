@@ -16,8 +16,7 @@ stage, which is how Reunion's back-pressure reaches the ROB.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, NamedTuple, Optional
 
 #: CSB entry width in bits (instruction tag + output data), from Sec IV-3.
 ENTRY_BITS = 66
@@ -38,8 +37,7 @@ def csb_entries_for(fingerprint_interval: int, comparison_latency: int) -> int:
     return fingerprint_interval + comparison_latency + 1
 
 
-@dataclass(frozen=True, slots=True)
-class CSBEntry:
+class CSBEntry(NamedTuple):
     seq: int
     group: int
 
@@ -69,14 +67,16 @@ class CheckStageBuffer:
         return self.capacity * ENTRY_BITS
 
     def push(self, seq: int, group: int) -> None:
-        if self.full:
+        fifo = self._fifo
+        occupancy = len(fifo) + 1
+        if occupancy > self.capacity:
             raise RuntimeError("push into full CSB")
-        if self._fifo and seq <= self._fifo[-1].seq:
+        if fifo and seq <= fifo[-1].seq:
             raise ValueError("CSB admission must be in program order")
-        self._fifo.append(CSBEntry(seq, group))
+        fifo.append(CSBEntry(seq, group))
         self.pushes += 1
-        if len(self._fifo) > self.max_occupancy:
-            self.max_occupancy = len(self._fifo)
+        if occupancy > self.max_occupancy:
+            self.max_occupancy = occupancy
 
     def head(self) -> Optional[CSBEntry]:
         return self._fifo[0] if self._fifo else None
