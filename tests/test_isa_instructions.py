@@ -1,8 +1,11 @@
 """Unit tests for instruction semantics and metadata."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.isa.golden import STEP_DISPATCH
 from repro.isa.instructions import (
     Instruction, InstrClass, MEM_WIDTH, Opcode, OPCODE_CLASS, REG_COUNT,
     is_serializing, _s32, _u32,
@@ -188,3 +191,12 @@ def test_reg_count():
 
 def test_instruction_str_smoke():
     assert "add" in str(ins(Opcode.ADD, rd=1, rs1=2, rs2=3))
+
+
+def test_step_handler_resolves_once_and_stays_out_of_pickles():
+    add = ins(Opcode.ADD, rd=1, rs1=2, rs2=3)
+    assert add.step is STEP_DISPATCH[Opcode.ADD]
+    assert "step" in add.__dict__          # cached after first use
+    copy = pickle.loads(pickle.dumps(add))  # handlers are closures
+    assert copy == add and "step" not in copy.__dict__
+    assert copy.step is add.step
