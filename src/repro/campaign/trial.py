@@ -292,8 +292,7 @@ def run_trial(trial: TrialSpec) -> TrialResult:
     """Worker entry point: run one seeded injection trial.
 
     Imports stay inside the function so a forked/spawned worker only
-    pays for what it uses (the same convention as
-    ``repro.harness.parallel._run_one``).
+    pays for what it uses.
     """
     from repro.harness.runner import run_scheme
     from repro.redundancy.pair import SimulationHang

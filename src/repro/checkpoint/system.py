@@ -102,10 +102,8 @@ class CheckpointSystem(DualCoreSystem):
         self.params = params or CheckpointParams()
         self.store = CheckpointStore(self.params.store_capacity)
         self.store_queue = WriteBuffer(capacity=16)
-        self.injector = injector
         self.inventory = (injector.inventory if injector is not None
                           else BlockInventory())
-        self.fault_events: List[FaultEvent] = []
         self._corrupt_next = [False, False]
         self._unbound_events: List[FaultEvent] = []
         #: corruption events keyed by the boundary that will reveal them
@@ -119,16 +117,10 @@ class CheckpointSystem(DualCoreSystem):
         self.rollbacks = 0
         self.captures_stalled_cycles = 0
         self.detection_latencies: List[int] = []
-        self._next_strike: Optional[Strike] = None
-        super().__init__(program, config, name=name, **uncore)
+        super().__init__(program, config, name=name, injector=injector,
+                         **uncore)
         # base checkpoint: the initial state
         self.store.capture(0, 0, self.pipelines[0].committed_state)
-        if self.injector is not None:
-            # Injected runs must keep the commit-time image an independent
-            # re-execution, never a replay of fetch-time records.
-            for p in self.pipelines:
-                p.commit_replay = "always"
-            self._arm_next_strike(0)
 
     def make_gate(self, core_id: int) -> CommitGate:
         return _CheckpointGate(self, core_id)
@@ -160,14 +152,7 @@ class CheckpointSystem(DualCoreSystem):
             self._process_strikes(now)
         self._try_capture(now)
         self._check_verdicts(now)
-        while len(self.store_queue):
-            head = self.store_queue.head()
-            xfer = self.bus.transfer_cycles(self.store_queue.entry_bytes)
-            if self.bus.try_request(now, xfer) < 0:
-                break
-            self.store_queue.pop()
-            self.l2.access(head[1] + self.addr_offset, is_write=True,
-                           now=now)
+        self.store_queue.drain(self.bus, self.l2, now, self.addr_offset)
 
     def _try_capture(self, now: int) -> None:
         if len(self.awaiting_capture) < 2:
@@ -233,29 +218,14 @@ class CheckpointSystem(DualCoreSystem):
                 e.outcome = Outcome.SDC
 
     # -- faults --------------------------------------------------------------
-    def _arm_next_strike(self, now: int) -> None:
-        interval = self.injector.next_interval()
-        if interval == float("inf"):
-            self._next_strike = None
-            return
-        self._next_strike = self.injector.strike_at(now + max(1, int(interval)))
-
-    def _process_strikes(self, now: int) -> None:
-        while self._next_strike is not None and self._next_strike.cycle <= now:
-            strike = self._next_strike
-            core_id = strike.bit % 2
-            block = self.inventory.get(strike.block)
-            event = FaultEvent(cycle=now, core_id=core_id,
-                               block=strike.block, bit=strike.bit)
-            if block.pre_commit:
-                self._corrupt_next[core_id] = True
-                self._unbound_events.append(event)
-            elif strike.block.startswith("l1"):
-                event.outcome = Outcome.DETECTED_RECOVERED  # SECDED L1
-            else:
-                event.outcome = Outcome.SDC
-            self.fault_events.append(event)
-            self._arm_next_strike(now)
+    def on_strike(self, now: int, strike: Strike, event: FaultEvent) -> None:
+        if self.inventory.get(strike.block).pre_commit:
+            self._corrupt_next[event.core_id] = True
+            self._unbound_events.append(event)
+        elif strike.block.startswith("l1"):
+            event.outcome = Outcome.DETECTED_RECOVERED  # SECDED L1
+        else:
+            event.outcome = Outcome.SDC
 
     # -- results ----------------------------------------------------------------
     def extra_stats(self) -> dict:
@@ -270,8 +240,3 @@ class CheckpointSystem(DualCoreSystem):
             "mean_detection_latency": mean_latency,
             "checkpoint_full_stalls": float(self.store.full_stalls),
         }
-
-    def result(self):
-        res = super().result()
-        res.fault_events = list(self.fault_events)
-        return res

@@ -1,12 +1,15 @@
-"""Shared machinery for redundant core-pair systems.
+"""The system chassis every simulated system builds on.
 
-Both UnSync and Reunion are *core pairs running one thread twice* over a
-shared bus + L2. :class:`~repro.redundancy.pair.DualCoreSystem` owns that
-common shape — construction, the cycle loop, completion detection, result
-assembly — and exposes one hook (``on_cycle``) plus per-core commit gates
-for the scheme-specific behaviour. The unprotected baseline that Figures
-4-6 normalise against lives here too (a single core with a plain store
-write buffer).
+Every system — the one-core baseline and MEEK, the UnSync, Reunion,
+RepTFD and checkpointing pairs, the three-core TMR — runs ``n_cores``
+cores on one thread over a shared bus + L2.
+:class:`~repro.redundancy.pair.DualCoreSystem` owns that shape once:
+construction, the cycle loop and its watchdog, fault-injector arming and
+strike delivery, completion detection and result assembly. A system
+supplies hooks — ``make_gate``, ``on_cycle``, ``on_strike``,
+``finished``, ``scheme_metrics``/``LEGACY_EXTRA`` — for its own
+behaviour. The unprotected baseline that Figures 4-6 normalise against
+lives here too (a single core with a plain store write buffer).
 """
 
 from repro.redundancy.pair import DualCoreSystem, BaselineSystem

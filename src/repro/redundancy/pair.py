@@ -1,13 +1,24 @@
-"""Dual-core system scaffolding and the unprotected baseline.
+"""The system chassis every core count shares, and the unprotected baseline.
 
-:class:`DualCoreSystem` is the common chassis: two cores running the same
-program over one shared bus + L2 (the paper's core-pair), stepped in
-lockstep of *wall-clock cycles only* — the cores' pipelines drift apart
-freely, which is the whole point of UnSync. Subclasses install commit
-gates and override :meth:`DualCoreSystem.on_cycle` for their drain /
-verification engines.
+:class:`DualCoreSystem` is the one chassis: ``n_cores`` cores (one for the
+baseline and MEEK, two for the redundant pairs, three for TMR) running the
+same program over one shared bus + ECC L2, stepped in lockstep of
+*wall-clock cycles only* — the cores' pipelines drift apart freely, which
+is the whole point of UnSync. The chassis owns construction (uncore, L2
+prewarm, ports, pipelines), the cycle loop and its :class:`SimulationHang`
+watchdog, fault-injector arming and strike delivery, and result assembly.
+A system specialises it through hooks:
 
-:class:`BaselineSystem` is the single, unprotected Table I core with a
+* :meth:`~DualCoreSystem.make_gate` — the commit gate of each core;
+* :meth:`~DualCoreSystem.on_cycle` — per-cycle engines (strike handling,
+  drains, verification) that run before the cores step;
+* :meth:`~DualCoreSystem.on_strike` — adjudicate one delivered strike;
+* :meth:`~DualCoreSystem.finished` — completion, where it means more than
+  "every core halted";
+* :meth:`~DualCoreSystem.scheme_metrics` + ``LEGACY_EXTRA`` — the named
+  counters and the legacy ``extra`` view derived from them.
+
+:class:`BaselineSystem` is the one-core, unprotected Table I core with a
 store write buffer — the reference every Figure 4-6 overhead is computed
 against.
 """
@@ -19,6 +30,8 @@ from typing import Dict, List, Optional
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CommitGate, Pipeline
 from repro.core.rob import ROBEntry
+from repro.faults.events import FaultEvent
+from repro.faults.injector import FaultInjector, Strike
 from repro.isa.program import Program
 from repro.mem.bus import Bus
 from repro.mem.hierarchy import MemPort
@@ -26,7 +39,9 @@ from repro.mem.l2 import SharedL2
 from repro.mem.prewarm import prewarm_l2
 from repro.redundancy.stats import RunResult, WriteBuffer
 from repro.telemetry import NULL_REGISTRY, Telemetry
-from repro.telemetry.events import WATCHDOG_TRIP
+from repro.telemetry.events import (
+    FAULT_INJECTED, FAULT_MULTIBIT, WATCHDOG_TRIP,
+)
 
 
 class SimulationHang(RuntimeError):
@@ -48,9 +63,11 @@ class SimulationHang(RuntimeError):
 
 
 class DualCoreSystem:
-    """Two cores, one thread, shared L2 — the redundant-pair chassis."""
+    """``n_cores`` cores, one thread, shared L2 — the system chassis."""
 
     scheme = "pair"
+    #: cores running the thread
+    n_cores = 2
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
@@ -58,7 +75,8 @@ class DualCoreSystem:
                  bus: Optional[Bus] = None,
                  l2: Optional[SharedL2] = None,
                  addr_offset: int = 0,
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 telemetry: Optional[Telemetry] = None,
+                 injector: Optional[FaultInjector] = None) -> None:
         self.program = program
         self.config = config or SystemConfig.table1()
         self.name = name or program.name
@@ -70,6 +88,9 @@ class DualCoreSystem:
         self._ev = telemetry.events if telemetry is not None else None
         self._met = telemetry.metrics if telemetry is not None \
             else NULL_REGISTRY
+        self.injector = injector
+        self.fault_events: List[FaultEvent] = []
+        self._next_strike: Optional[Strike] = None
         # bus/l2 may be supplied by a multi-pair chassis so that several
         # pairs contend for the same uncore (the paper's 4-core CMP)
         self.bus = bus if bus is not None else Bus(
@@ -80,7 +101,7 @@ class DualCoreSystem:
         prewarm_l2(self.l2, program, addr_offset)
         self.ports: List[MemPort] = []
         self.pipelines: List[Pipeline] = []
-        for i in range(2):
+        for i in range(self.n_cores):
             port = MemPort(self.bus, self.l2,
                            icache_cfg=self.config.icache,
                            dcache_cfg=self.config.dcache,
@@ -96,6 +117,12 @@ class DualCoreSystem:
             self.pipelines.append(Pipeline(program, self.config.core, port,
                                            gate=gate, name=f"core{i}"))
         self.now = 0
+        if injector is not None:
+            # Injected runs must keep the commit-time image an independent
+            # re-execution, never a replay of fetch-time records.
+            for p in self.pipelines:
+                p.commit_replay = "always"
+            self._arm_next_strike(0)
 
     # -- scheme hooks ------------------------------------------------------
     def make_gate(self, core_id: int) -> CommitGate:
@@ -104,6 +131,10 @@ class DualCoreSystem:
 
     def on_cycle(self, now: int) -> None:
         """Per-cycle housekeeping before the cores step (drains, checks)."""
+
+    def on_strike(self, now: int, strike: Strike, event: FaultEvent) -> None:
+        """Adjudicate one delivered strike, setting ``event.outcome``."""
+        raise NotImplementedError(f"{self.scheme} takes no fault injection")
 
     def finished(self) -> bool:
         for p in self.pipelines:
@@ -140,6 +171,37 @@ class DualCoreSystem:
         m.update(self.scheme_metrics())
         return m
 
+    # -- faults --------------------------------------------------------------
+    def _arm_next_strike(self, now: int) -> None:
+        self._next_strike = self.injector.next_strike(now)
+
+    def struck_core(self, strike: Strike) -> int:
+        """The core ``strike`` lands in."""
+        return strike.core_id()
+
+    def _process_strikes(self, now: int) -> None:
+        """Deliver every strike due by ``now`` to :meth:`on_strike`."""
+        while self._next_strike is not None and self._next_strike.cycle <= now:
+            strike = self._next_strike
+            event = FaultEvent(cycle=now, core_id=self.struck_core(strike),
+                               block=strike.block, bit=strike.bit)
+            if self._ev is not None:
+                # a one-core system has one core track, whichever core
+                # the strike's bit would name in a pair
+                track = f"core{event.core_id}" if self.n_cores > 1 \
+                    else "core0"
+                self._ev.emit(FAULT_INJECTED, now, track,
+                              args={"block": strike.block,
+                                    "bit": strike.bit,
+                                    "flipped": strike.flipped_bits})
+                if strike.flipped_bits > 1:
+                    self._ev.emit(FAULT_MULTIBIT, now, track,
+                                  args={"block": strike.block,
+                                        "flipped": strike.flipped_bits})
+            self.on_strike(now, strike, event)
+            self.fault_events.append(event)
+            self._arm_next_strike(now)
+
     # -- driving -----------------------------------------------------------
     def step(self) -> None:
         self.on_cycle(self.now)
@@ -151,22 +213,27 @@ class DualCoreSystem:
         while not self.finished():
             if self.now >= max_cycles:
                 committed = [p.stats.committed for p in self.pipelines]
+                args = {"budget": max_cycles}
+                message = f"{self.name}[{self.scheme}]: exceeded " \
+                    f"{max_cycles} cycles"
+                if self.n_cores > 1:
+                    args["committed"] = committed
+                    message += f" (committed: {committed})"
                 if self._ev is not None:
                     self._ev.emit(WATCHDOG_TRIP, self.now, "watchdog",
-                                  args={"budget": max_cycles,
-                                        "committed": committed})
-                raise SimulationHang(
-                    f"{self.name}[{self.scheme}]: exceeded {max_cycles} "
-                    f"cycles (committed: {committed})",
-                    cycles=self.now, committed=committed[0])
+                                  args=args)
+                raise SimulationHang(message, cycles=self.now,
+                                     committed=committed[0])
             self.step()
         return self.result()
 
+    def cycles(self) -> int:
+        """Run length: the slowest core's completion."""
+        return max(p.stats.cycles for p in self.pipelines)
+
     def result(self) -> RunResult:
-        # per-thread performance: the pair retires ONE logical thread, so
-        # cycles = slowest core's completion, instructions = one stream.
-        cycles = max(p.stats.cycles for p in self.pipelines)
-        instructions = self.pipelines[0].stats.committed
+        # per-thread performance: the cores retire ONE logical thread, so
+        # instructions = one stream
         if self._ev is not None:
             for port in self.ports:
                 port.flush_miss_bursts()
@@ -176,21 +243,23 @@ class DualCoreSystem:
         return RunResult(
             name=self.name,
             scheme=self.scheme,
-            cycles=cycles,
-            instructions=instructions,
+            cycles=self.cycles(),
+            instructions=self.pipelines[0].stats.committed,
             state=self.pipelines[0].committed_state,
             core_stats=[p.stats for p in self.pipelines],
+            fault_events=list(self.fault_events),
             extra=self.extra_stats(),
             metrics=metrics,
         )
 
     # -- verification helper -------------------------------------------------
     def states_agree(self) -> bool:
-        """Architectural agreement between the two cores (fault-free
+        """Architectural agreement between the cores (fault-free
         invariant; tests lean on this)."""
-        a, b = self.pipelines
-        return (a.committed_state.regs == b.committed_state.regs
-                and a.committed_state.mem == b.committed_state.mem)
+        first = self.pipelines[0].committed_state
+        return all(p.committed_state.regs == first.regs
+                   and p.committed_state.mem == first.mem
+                   for p in self.pipelines[1:])
 
 
 class _WriteBufferGate(CommitGate):
@@ -210,87 +279,32 @@ class _WriteBufferGate(CommitGate):
                                   entry.store_value, entry.ins.mem_width)
 
 
-class BaselineSystem:
-    """Single unprotected core + write buffer: the Figure 4-6 reference."""
+class BaselineSystem(DualCoreSystem):
+    """Single unprotected core + write buffer: the Figure 4-6 reference.
+
+    Takes no fault injector: the unprotected core has nothing to
+    adjudicate a strike with.
+    """
 
     scheme = "baseline"
+    n_cores = 1
+    LEGACY_EXTRA = {"wbuf_full_stalls": "baseline.wbuf.full_stalls"}
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
-                 wbuf_entries: int = 16,
                  name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.program = program
-        self.config = config or SystemConfig.table1()
-        self.name = name or program.name
-        self.telemetry = telemetry
-        self._ev = telemetry.events if telemetry is not None else None
-        self.bus = Bus(width_bytes=self.config.bus_width_bytes)
-        self.l2 = SharedL2(config=self.config.l2, mshrs=self.config.l2_mshrs)
-        prewarm_l2(self.l2, program)
-        self.port = MemPort(self.bus, self.l2,
-                            icache_cfg=self.config.icache,
-                            dcache_cfg=self.config.dcache,
-                            itlb_cfg=self.config.itlb,
-                            dtlb_cfg=self.config.dtlb,
-                            l1_mshrs=self.config.l1_mshrs,
-                            name=f"{self.name}.core0")
-        if self._ev is not None:
-            self.port.attach_events(self._ev, track="core0.mem")
-        self.wbuf = WriteBuffer(capacity=wbuf_entries)
-        self.pipeline = Pipeline(program, self.config.core, self.port,
-                                 gate=_WriteBufferGate(self), name="core0")
-        self.now = 0
+        self.wbuf = WriteBuffer()
+        super().__init__(program, config, name=name, telemetry=telemetry)
 
-    def finished(self) -> bool:
-        """Uniform completion probe (the pair systems' spelling), so
-        system-agnostic drivers — the differential-replay prefix runner —
-        can step any scheme without special-casing the baseline."""
-        return self.pipeline.done
+    def make_gate(self, core_id: int) -> CommitGate:
+        return _WriteBufferGate(self)
 
-    def step(self) -> None:
-        # drain the write buffer whenever the bus is idle
-        while len(self.wbuf):
-            head = self.wbuf.head()
-            xfer = self.bus.transfer_cycles(self.wbuf.entry_bytes)
-            if self.bus.try_request(self.now, xfer) < 0:
-                break
-            self.wbuf.pop()
-            self.l2.access(head[1], is_write=True, now=self.now)
-        self.pipeline.step(self.now)
-        self.now += 1
+    def on_cycle(self, now: int) -> None:
+        self.wbuf.drain(self.bus, self.l2, now)
 
     def scheme_metrics(self) -> Dict[str, float]:
         return {
             "baseline.wbuf.pushes": float(self.wbuf.pushes),
             "baseline.wbuf.full_stalls": float(self.wbuf.full_stalls),
         }
-
-    def run(self, max_cycles: int = 2_000_000) -> RunResult:
-        while not self.pipeline.done:
-            if self.now >= max_cycles:
-                if self._ev is not None:
-                    self._ev.emit(WATCHDOG_TRIP, self.now, "watchdog",
-                                  args={"budget": max_cycles})
-                raise SimulationHang(
-                    f"{self.name}[baseline]: exceeded {max_cycles} cycles",
-                    cycles=self.now,
-                    committed=self.pipeline.stats.committed)
-            self.step()
-        if self._ev is not None:
-            self.port.flush_miss_bursts()
-        metrics = self.pipeline.stats.metric_counters("core0.pipeline.")
-        metrics.update(self.port.metric_counters("core0."))
-        metrics.update(self.scheme_metrics())
-        if self.telemetry is not None:
-            self.telemetry.metrics.merge_counters(metrics)
-        return RunResult(
-            name=self.name,
-            scheme=self.scheme,
-            cycles=self.pipeline.stats.cycles,
-            instructions=self.pipeline.stats.committed,
-            state=self.pipeline.committed_state,
-            core_stats=[self.pipeline.stats],
-            extra={"wbuf_full_stalls": metrics["baseline.wbuf.full_stalls"]},
-            metrics=metrics,
-        )

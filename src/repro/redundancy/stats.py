@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro.core.pipeline import PipelineStats
 from repro.faults.events import FaultEvent
 from repro.isa.golden import ArchState
+from repro.mem.bus import Bus
+from repro.mem.l2 import SharedL2
 
 
 @dataclass
@@ -87,8 +89,13 @@ class WriteBuffer:
         self._entries.append((seq, addr, value, width))
         self.pushes += 1
 
-    def head(self) -> Optional[Tuple[int, int, int, int]]:
-        return self._entries[0] if self._entries else None
-
-    def pop(self) -> Tuple[int, int, int, int]:
-        return self._entries.popleft()
+    def drain(self, bus: Bus, l2: SharedL2, now: int,
+              addr_offset: int = 0) -> None:
+        """Write entries to ``l2``, oldest first, while ``bus`` is idle."""
+        entries = self._entries
+        if not entries:
+            return
+        xfer = bus.transfer_cycles(self.entry_bytes)
+        while entries and bus.try_request(now, xfer) >= 0:
+            l2.access(entries.popleft()[1] + addr_offset, is_write=True,
+                      now=now)

@@ -17,21 +17,15 @@ the same substrate so the trade-off is measurable rather than cited:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.config import SystemConfig
-from repro.core.pipeline import CommitGate, Pipeline
+from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
-from repro.faults.detection import Detector, NoDetector
 from repro.faults.events import FaultEvent, Outcome
 from repro.faults.injector import FaultInjector, Strike
 from repro.isa.program import Program
-from repro.mem.bus import Bus
-from repro.mem.hierarchy import MemPort
-from repro.mem.l2 import SharedL2
-from repro.mem.prewarm import prewarm_l2
-from repro.redundancy.stats import RunResult
+from repro.redundancy.pair import DualCoreSystem
 from repro.unsync.comm_buffer import CBEntry, CommBuffer
 from repro.unsync.recovery import RecoveryCostModel
 
@@ -58,11 +52,16 @@ class _TMRGate(CommitGate):
                 value=entry.store_value, width=entry.ins.mem_width))
 
 
-class TMRSystem:
+class TMRSystem(DualCoreSystem):
     """Three cores, one thread, majority-voted store stream."""
 
     scheme = "tmr"
-    N = 3
+    n_cores = 3
+    LEGACY_EXTRA = {
+        "votes": "tmr.vote.count",
+        "corrections": "tmr.correction.count",
+        "cb_full_stalls": "tmr.cb.full_stalls",
+    }
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
@@ -70,46 +69,25 @@ class TMRSystem:
                  injector: Optional[FaultInjector] = None,
                  recovery: Optional[RecoveryCostModel] = None,
                  name: Optional[str] = None) -> None:
-        self.program = program
-        self.config = config or SystemConfig.table1()
-        self.name = name or program.name
-        self.bus = Bus(width_bytes=self.config.bus_width_bytes)
-        self.l2 = SharedL2(config=self.config.l2, mshrs=self.config.l2_mshrs)
-        prewarm_l2(self.l2, program)
         self.cbs: List[CommBuffer] = [CommBuffer(cb_entries)
-                                      for _ in range(self.N)]
+                                      for _ in range(self.n_cores)]
         #: highest store seq already voted and written to L2
         self.drained_seq = -1
-        self.injector = injector
         self.recovery = recovery or RecoveryCostModel(l1_restore="invalidate")
-        self.fault_events: List[FaultEvent] = []
         self.corrections = 0
         self.votes = 0
-        self._next_strike: Optional[Strike] = None
+        super().__init__(program, config, name=name, injector=injector)
 
-        self.ports: List[MemPort] = []
-        self.pipelines: List[Pipeline] = []
-        for i in range(self.N):
-            port = MemPort(self.bus, self.l2,
-                           icache_cfg=self.config.icache,
-                           dcache_cfg=self.config.dcache,
-                           itlb_cfg=self.config.itlb,
-                           dtlb_cfg=self.config.dtlb,
-                           l1_mshrs=self.config.l1_mshrs,
-                           name=f"{self.name}.core{i}")
-            self.ports.append(port)
-            self.pipelines.append(Pipeline(program, self.config.core, port,
-                                           gate=_TMRGate(self, i),
-                                           name=f"core{i}"))
-        self.now = 0
-        if self.injector is not None:
-            # Injected runs must keep the commit-time image an independent
-            # re-execution, never a replay of fetch-time records.
-            for p in self.pipelines:
-                p.commit_replay = "always"
-            self._arm_next_strike(0)
+    def make_gate(self, core_id: int) -> CommitGate:
+        return _TMRGate(self, core_id)
 
     # -- drain / vote ------------------------------------------------------
+    def on_cycle(self, now: int) -> None:
+        if self.injector is not None:
+            self._process_strikes(now)
+        self._purge_stale()
+        self._drain(now)
+
     def _drain(self, now: int) -> None:
         while True:
             heads = [cb.head().seq for cb in self.cbs if len(cb)]
@@ -137,30 +115,21 @@ class TMRSystem:
                 cb.pop()
 
     # -- faults --------------------------------------------------------------
-    def _arm_next_strike(self, now: int) -> None:
-        interval = self.injector.next_interval()
-        if interval == float("inf"):
-            self._next_strike = None
-            return
-        self._next_strike = self.injector.strike_at(now + max(1, int(interval)))
+    def struck_core(self, strike: Strike) -> int:
+        if strike.core is not None:
+            return strike.core
+        return strike.bit % self.n_cores
 
-    def _process_strikes(self, now: int) -> None:
-        while self._next_strike is not None and self._next_strike.cycle <= now:
-            strike = self._next_strike
-            core_id = strike.bit % self.N
-            event = FaultEvent(cycle=now, core_id=core_id,
-                               block=strike.block, bit=strike.bit)
-            # TMR's detection is the vote itself: any corrupted core is
-            # out-voted; the struck core resynchronises while the other
-            # two keep running.
-            self._recover_core(now, core_id)
-            event.outcome = Outcome.DETECTED_RECOVERED
-            self.fault_events.append(event)
-            self.corrections += 1
-            self._arm_next_strike(now)
+    def on_strike(self, now: int, strike: Strike, event: FaultEvent) -> None:
+        # TMR's detection is the vote itself: any corrupted core is
+        # out-voted; the struck core resynchronises while the other two
+        # keep running.
+        self._recover_core(now, event.core_id)
+        event.outcome = Outcome.DETECTED_RECOVERED
+        self.corrections += 1
 
     def _recover_core(self, now: int, bad_core: int) -> None:
-        donors = [i for i in range(self.N) if i != bad_core]
+        donors = [i for i in range(self.n_cores) if i != bad_core]
         # adopt from whichever healthy core has committed furthest
         donor = max(donors,
                     key=lambda i: self.pipelines[i].stats.committed)
@@ -177,38 +146,11 @@ class TMRSystem:
         # ONLY the struck core freezes — the majority keeps executing
         bad.frozen_until = max(bad.frozen_until, now + plan.total_cycles)
 
-    # -- driving ---------------------------------------------------------------
-    def finished(self) -> bool:
-        return all(p.done for p in self.pipelines)
-
-    def step(self) -> None:
-        if self.injector is not None:
-            self._process_strikes(self.now)
-        self._purge_stale()
-        self._drain(self.now)
-        for p in self.pipelines:
-            p.step(self.now)
-        self.now += 1
-
-    def run(self, max_cycles: int = 4_000_000) -> RunResult:
-        while not self.finished():
-            if self.now >= max_cycles:
-                raise RuntimeError(
-                    f"{self.name}[tmr]: exceeded {max_cycles} cycles")
-            self.step()
-        res = RunResult(
-            name=self.name,
-            scheme=self.scheme,
-            cycles=max(p.stats.cycles for p in self.pipelines),
-            instructions=self.pipelines[0].stats.committed,
-            state=self.pipelines[0].committed_state,
-            core_stats=[p.stats for p in self.pipelines],
-            extra={
-                "votes": float(self.votes),
-                "corrections": float(self.corrections),
-                "cb_full_stalls": float(sum(cb.full_stalls
+    # -- results ---------------------------------------------------------------
+    def scheme_metrics(self) -> Dict[str, float]:
+        return {
+            "tmr.vote.count": float(self.votes),
+            "tmr.correction.count": float(self.corrections),
+            "tmr.cb.full_stalls": float(sum(cb.full_stalls
                                             for cb in self.cbs)),
-            },
-        )
-        res.fault_events = list(self.fault_events)
-        return res
+        }

@@ -29,8 +29,8 @@ from repro.reunion.check_stage import CheckStage, ReunionParams
 from repro.reunion.csb import CheckStageBuffer, csb_entries_for
 from repro.telemetry import Telemetry
 from repro.telemetry.events import (
-    CSB_GATE, FAULT_DETECTED, FAULT_DUE, FAULT_INJECTED, FAULT_MULTIBIT,
-    FAULT_SDC, RECOVERY_ABORT, RECOVERY_REENTRY, ROLLBACK,
+    CSB_GATE, FAULT_DETECTED, FAULT_DUE, FAULT_SDC, RECOVERY_ABORT,
+    RECOVERY_REENTRY, ROLLBACK,
 )
 
 
@@ -136,11 +136,9 @@ class ReunionSystem(DualCoreSystem):
         self.csbs: List[CheckStageBuffer] = [
             CheckStageBuffer(capacity) for _ in range(2)]
         self.store_queue = WriteBuffer(capacity=16)
-        self.injector = injector
         self.detectors = detectors if detectors is not None else dict(REUNION_DETECTORS)
         self.inventory = (injector.inventory if injector is not None
                           else BlockInventory())
-        self.fault_events: List[FaultEvent] = []
         self.rollbacks = 0
         self.rollback_cycles_total = 0
         self.due_count = 0
@@ -152,17 +150,10 @@ class ReunionSystem(DualCoreSystem):
         self.incoherence_syncs = 0
         self.incoherence_cycles = 0
         self._incoherence_rng = None
-        self._next_strike: Optional[Strike] = None
         #: fault events awaiting group-verdict adjudication
         self._unbound_events: List[FaultEvent] = []
         super().__init__(program, config, name=name, telemetry=telemetry,
-                         **uncore)
-        if self.injector is not None:
-            # Injected runs must keep the commit-time image an independent
-            # re-execution, never a replay of fetch-time records.
-            for p in self.pipelines:
-                p.commit_replay = "always"
-            self._arm_next_strike(0)
+                         injector=injector, **uncore)
 
     # -- construction hooks -----------------------------------------------
     def make_gate(self, core_id: int) -> CommitGate:
@@ -179,13 +170,7 @@ class ReunionSystem(DualCoreSystem):
         if mismatch is not None:
             self._rollback(now, mismatch)
         # drain the vocal store queue whenever the bus is idle
-        while len(self.store_queue):
-            head = self.store_queue.head()
-            xfer = self.bus.transfer_cycles(self.store_queue.entry_bytes)
-            if self.bus.try_request(now, xfer) < 0:
-                break
-            self.store_queue.pop()
-            self.l2.access(head[1] + self.addr_offset, is_write=True, now=now)
+        self.store_queue.drain(self.bus, self.l2, now, self.addr_offset)
 
     # -- input incoherence (relaxed input replication) -------------------------
     def _process_incoherence(self, now: int) -> None:
@@ -212,62 +197,44 @@ class ReunionSystem(DualCoreSystem):
         self.incoherence_cycles += penalty
 
     # -- faults -------------------------------------------------------------
-    def _arm_next_strike(self, now: int) -> None:
-        self._next_strike = self.injector.next_strike(now)
-
-    def _process_strikes(self, now: int) -> None:
-        while self._next_strike is not None and self._next_strike.cycle <= now:
-            strike = self._next_strike
-            core_id = strike.core_id()
-            block = self.inventory.get(strike.block)
-            event = FaultEvent(cycle=now, core_id=core_id,
-                               block=strike.block, bit=strike.bit)
-            detector = self.detectors.get(strike.block, NoDetector())
-            result = detector.check(strike.flipped_bits)
+    def on_strike(self, now: int, strike: Strike, event: FaultEvent) -> None:
+        core_id = event.core_id
+        block = self.inventory.get(strike.block)
+        result = self.detectors.get(strike.block, NoDetector()).check(
+            strike.flipped_bits)
+        if result.corrected:
+            # SECDED L1: fixed in place, execution unaffected
+            event.outcome = Outcome.DETECTED_RECOVERED
+            event.detection_latency = result.latency_cycles
             if self._ev is not None:
-                self._ev.emit(FAULT_INJECTED, now, f"core{core_id}",
+                self._ev.emit(FAULT_DETECTED, now, f"core{core_id}",
                               args={"block": strike.block,
-                                    "bit": strike.bit,
+                                    "corrected": True})
+        elif result.detected:
+            # SECDED saturated into detect-only (2-bit cluster): the L1
+            # line is known-bad and the fingerprint never covered it —
+            # detected, unrecoverable.
+            event.outcome = Outcome.DETECTED_UNRECOVERABLE
+            event.detection_latency = result.latency_cycles
+            self.due_count += 1
+            if self._ev is not None:
+                self._ev.emit(FAULT_DUE, now, f"core{core_id}",
+                              args={"block": strike.block,
+                                    "reason": "detect-only-ecc"})
+        elif now < self._rollback_until:
+            self._strike_during_rollback(now, core_id, block, event)
+        elif block.pre_commit:
+            # the corruption flows into the next fingerprint; verdict
+            # adjudicated when the group comparison lands.
+            self.check.corrupt_next[core_id] = True
+            event.outcome = None  # pending
+            self._unbound_events.append(event)
+        else:
+            event.outcome = Outcome.SDC
+            if self._ev is not None:
+                self._ev.emit(FAULT_SDC, now, f"core{core_id}",
+                              args={"block": strike.block,
                                     "flipped": strike.flipped_bits})
-                if strike.flipped_bits > 1:
-                    self._ev.emit(FAULT_MULTIBIT, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                        "flipped": strike.flipped_bits})
-            if result.corrected:
-                # SECDED L1: fixed in place, execution unaffected
-                event.outcome = Outcome.DETECTED_RECOVERED
-                event.detection_latency = result.latency_cycles
-                if self._ev is not None:
-                    self._ev.emit(FAULT_DETECTED, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                        "corrected": True})
-            elif result.detected:
-                # SECDED saturated into detect-only (2-bit cluster): the
-                # L1 line is known-bad and the fingerprint never covered
-                # it — detected, unrecoverable.
-                event.outcome = Outcome.DETECTED_UNRECOVERABLE
-                event.detection_latency = result.latency_cycles
-                self.due_count += 1
-                if self._ev is not None:
-                    self._ev.emit(FAULT_DUE, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                        "reason": "detect-only-ecc"})
-            elif now < self._rollback_until:
-                self._strike_during_rollback(now, core_id, block, event)
-            elif block.pre_commit:
-                # the corruption flows into the next fingerprint; verdict
-                # adjudicated when the group comparison lands.
-                self.check.corrupt_next[core_id] = True
-                event.outcome = None  # pending
-                self._unbound_events.append(event)
-            else:
-                event.outcome = Outcome.SDC
-                if self._ev is not None:
-                    self._ev.emit(FAULT_SDC, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                    "flipped": strike.flipped_bits})
-            self.fault_events.append(event)
-            self._arm_next_strike(now)
 
     def _strike_during_rollback(self, now: int, core_id: int, block,
                                 event: FaultEvent) -> None:
@@ -423,8 +390,3 @@ class ReunionSystem(DualCoreSystem):
             "reunion.incoherence.syncs": float(self.incoherence_syncs),
             "reunion.incoherence.cycles": float(self.incoherence_cycles),
         }
-
-    def result(self):
-        res = super().result()
-        res.fault_events = list(self.fault_events)
-        return res

@@ -33,22 +33,17 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from repro.core.config import SystemConfig
-from repro.core.pipeline import CommitGate, Pipeline
+from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
 from repro.faults.events import FaultEvent, Outcome
 from repro.faults.injector import Block, FaultInjector, Strike
 from repro.isa.program import Program
-from repro.mem.bus import Bus
-from repro.mem.hierarchy import MemPort
-from repro.mem.l2 import SharedL2
-from repro.mem.prewarm import prewarm_l2
-from repro.redundancy.pair import SimulationHang
-from repro.redundancy.stats import RunResult, WriteBuffer
-from repro.telemetry import NULL_REGISTRY, Telemetry
+from repro.redundancy.pair import DualCoreSystem
+from repro.redundancy.stats import WriteBuffer
+from repro.telemetry import Telemetry
 from repro.telemetry.events import (
-    CHECKQ_DRAIN, CHECKQ_GATE, FAULT_DETECTED, FAULT_DUE, FAULT_INJECTED,
-    FAULT_MULTIBIT, FAULT_SDC, RECOVERY_ABORT, RECOVERY_REENTRY,
-    WATCHDOG_TRIP,
+    CHECKQ_DRAIN, CHECKQ_GATE, FAULT_DETECTED, FAULT_DUE, FAULT_SDC,
+    RECOVERY_ABORT, RECOVERY_REENTRY,
 )
 
 #: blocks the checker's re-execution covers: its private register file
@@ -145,10 +140,12 @@ class _MEEKGate(CommitGate):
             system.checkq_max_occupancy = len(system.check_queue)
 
 
-class MEEKSystem:
+class MEEKSystem(DualCoreSystem):
     """OoO leader + small in-order checker over a bounded check queue."""
 
     scheme = "meek"
+    #: the checker is a verification engine, not a second pipeline
+    n_cores = 1
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
@@ -156,31 +153,10 @@ class MEEKSystem:
                  injector: Optional[FaultInjector] = None,
                  name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.program = program
-        self.config = config or SystemConfig.table1()
         self.params = params or MEEKParams()
-        self.name = name or program.name
-        self.telemetry = telemetry
-        self._ev = telemetry.events if telemetry is not None else None
-        self._met = telemetry.metrics if telemetry is not None \
-            else NULL_REGISTRY
-        self.bus = Bus(width_bytes=self.config.bus_width_bytes)
-        self.l2 = SharedL2(config=self.config.l2, mshrs=self.config.l2_mshrs)
-        prewarm_l2(self.l2, program)
-        self.port = MemPort(self.bus, self.l2,
-                            icache_cfg=self.config.icache,
-                            dcache_cfg=self.config.dcache,
-                            itlb_cfg=self.config.itlb,
-                            dtlb_cfg=self.config.dtlb,
-                            l1_mshrs=self.config.l1_mshrs,
-                            name=f"{self.name}.core0")
-        if self._ev is not None:
-            self.port.attach_events(self._ev, track="core0.mem")
         self.check_queue: Deque[_CheckRecord] = deque()
         self.store_buffer = WriteBuffer(
             capacity=self.params.store_buffer_entries)
-        self.injector = injector
-        self.fault_events: List[FaultEvent] = []
         self.checks = 0
         self.checked_seqs = 0
         self.checkq_full_stalls = 0
@@ -192,22 +168,17 @@ class MEEKSystem:
         self.recheck_aborts = 0
         self._recheck_until = 0
         self._recheck_retries_left = self.params.recheck_retry_budget
-        self._next_strike: Optional[Strike] = None
         #: fault events awaiting checker verification of the struck
         #: instruction: (checked-count threshold, event)
         self._pending: List = []
-        self.pipeline = Pipeline(program, self.config.core, self.port,
-                                 gate=_MEEKGate(self), name="core0")
-        self.now = 0
-        if self.injector is not None:
-            # Injected runs must keep the commit-time image an independent
-            # re-execution, never a replay of fetch-time records.
-            self.pipeline.commit_replay = "always"
-            self._arm_next_strike(0)
+        super().__init__(program, config, name=name, telemetry=telemetry,
+                         injector=injector)
+
+    def make_gate(self, core_id: int) -> CommitGate:
+        return _MEEKGate(self)
 
     # -- per-cycle engine ---------------------------------------------------
-    def step(self) -> None:
-        now = self.now
+    def on_cycle(self, now: int) -> None:
         if self.injector is not None:
             self._process_strikes(now)
             if self._pending:
@@ -215,15 +186,7 @@ class MEEKSystem:
         if now >= self._recheck_until:
             self._check(now)
         # drain checker-verified stores whenever the bus is idle
-        while len(self.store_buffer):
-            head = self.store_buffer.head()
-            xfer = self.bus.transfer_cycles(self.store_buffer.entry_bytes)
-            if self.bus.try_request(now, xfer) < 0:
-                break
-            self.store_buffer.pop()
-            self.l2.access(head[1], is_write=True, now=now)
-        self.pipeline.step(now)
-        self.now += 1
+        self.store_buffer.drain(self.bus, self.l2, now)
 
     def _check(self, now: int) -> None:
         """The in-order checker: verify up to ``check_width`` mature
@@ -248,43 +211,24 @@ class MEEKSystem:
                           args={"n": taken, "left": len(queue)})
 
     # -- faults -------------------------------------------------------------
-    def _arm_next_strike(self, now: int) -> None:
-        self._next_strike = self.injector.next_strike(now)
-
-    def _process_strikes(self, now: int) -> None:
-        while self._next_strike is not None and self._next_strike.cycle <= now:
-            strike = self._next_strike
-            core_id = strike.core_id()
-            event = FaultEvent(cycle=now, core_id=core_id,
-                               block=strike.block, bit=strike.bit)
+    def on_strike(self, now: int, strike: Strike, event: FaultEvent) -> None:
+        if now < self._recheck_until:
+            self._strike_during_recheck(now, event)
+        elif strike.block == "check_queue":
+            self._strike_queue(event)
+        elif strike.block in MEEK_COVERED_BLOCKS:
+            # surfaces when the checker re-executes the struck
+            # instruction (value compare, no parity blind spot)
+            event.outcome = None  # pending verification
+            self._pending.append((self.pipelines[0].stats.committed, event))
+        else:
+            # forwarded load values are never re-verified: L1 and TLB
+            # corruption sails straight past the checker
+            event.outcome = Outcome.SDC
             if self._ev is not None:
-                self._ev.emit(FAULT_INJECTED, now, "core0",
+                self._ev.emit(FAULT_SDC, now, "core0",
                               args={"block": strike.block,
-                                    "bit": strike.bit,
                                     "flipped": strike.flipped_bits})
-                if strike.flipped_bits > 1:
-                    self._ev.emit(FAULT_MULTIBIT, now, "core0",
-                                  args={"block": strike.block,
-                                        "flipped": strike.flipped_bits})
-            if now < self._recheck_until:
-                self._strike_during_recheck(now, event)
-            elif strike.block == "check_queue":
-                self._strike_queue(event)
-            elif strike.block in MEEK_COVERED_BLOCKS:
-                # surfaces when the checker re-executes the struck
-                # instruction (value compare, no parity blind spot)
-                event.outcome = None  # pending verification
-                self._pending.append((self.pipeline.stats.committed, event))
-            else:
-                # forwarded load values are never re-verified: L1 and TLB
-                # corruption sails straight past the checker
-                event.outcome = Outcome.SDC
-                if self._ev is not None:
-                    self._ev.emit(FAULT_SDC, now, "core0",
-                                  args={"block": strike.block,
-                                        "flipped": strike.flipped_bits})
-            self.fault_events.append(event)
-            self._arm_next_strike(now)
 
     def _strike_queue(self, event: FaultEvent) -> None:
         """A strike on a buffered check record: an empty queue is masked,
@@ -308,8 +252,8 @@ class MEEKSystem:
             self.recheck_aborts += 1
             penalty = self.params.recheck_penalty
             self._recheck_until = max(self._recheck_until, now + penalty)
-            self.pipeline.frozen_until = max(self.pipeline.frozen_until,
-                                             now + penalty)
+            leader = self.pipelines[0]
+            leader.frozen_until = max(leader.frozen_until, now + penalty)
             self.recovery_cycles_total += penalty
             event.outcome = Outcome.DETECTED_RECOVERED
             if self._ev is not None:
@@ -357,28 +301,19 @@ class MEEKSystem:
             self.injector.on_recovery(now, penalty)
             self._next_strike = self.injector.preempt(self._next_strike)
         self._met.histogram("meek.recheck.penalty").observe(penalty)
-        self.pipeline.flush_pipeline()
-        self.pipeline.frozen_until = max(self.pipeline.frozen_until,
-                                         now + penalty)
+        leader = self.pipelines[0]
+        leader.flush_pipeline()
+        leader.frozen_until = max(leader.frozen_until, now + penalty)
         self.recovery_cycles_total += penalty
 
     # -- driving ------------------------------------------------------------
     def finished(self) -> bool:
-        return (self.pipeline.done and not self.check_queue
+        return (self.pipelines[0].done and not self.check_queue
                 and not len(self.store_buffer))
 
-    def run(self, max_cycles: int = 2_000_000) -> RunResult:
-        while not self.finished():
-            if self.now >= max_cycles:
-                if self._ev is not None:
-                    self._ev.emit(WATCHDOG_TRIP, self.now, "watchdog",
-                                  args={"budget": max_cycles})
-                raise SimulationHang(
-                    f"{self.name}[meek]: exceeded {max_cycles} cycles",
-                    cycles=self.now,
-                    committed=self.pipeline.stats.committed)
-            self.step()
-        return self.result()
+    def cycles(self) -> int:
+        # the checker keeps verifying after the leader halts
+        return max(super().cycles(), self.now)
 
     # -- results ------------------------------------------------------------
     #: legacy `extra` keys, derived from the named telemetry counters
@@ -403,29 +338,3 @@ class MEEKSystem:
             "meek.store_buffer.full_stalls": float(
                 self.store_buffer.full_stalls),
         }
-
-    def extra_stats(self) -> dict:
-        metrics = self.scheme_metrics()
-        return {legacy: float(metrics[name])
-                for legacy, name in self.LEGACY_EXTRA.items()}
-
-    def result(self) -> RunResult:
-        if self._ev is not None:
-            self.port.flush_miss_bursts()
-        metrics = self.pipeline.stats.metric_counters("core0.pipeline.")
-        metrics.update(self.port.metric_counters("core0."))
-        metrics.update(self.scheme_metrics())
-        if self.telemetry is not None:
-            self.telemetry.metrics.merge_counters(metrics)
-        res = RunResult(
-            name=self.name,
-            scheme=self.scheme,
-            cycles=max(self.pipeline.stats.cycles, self.now),
-            instructions=self.pipeline.stats.committed,
-            state=self.pipeline.committed_state,
-            core_stats=[self.pipeline.stats],
-            extra=self.extra_stats(),
-            metrics=metrics,
-        )
-        res.fault_events = list(self.fault_events)
-        return res

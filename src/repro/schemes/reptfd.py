@@ -41,8 +41,8 @@ from repro.redundancy.pair import DualCoreSystem
 from repro.redundancy.stats import WriteBuffer
 from repro.telemetry import Telemetry
 from repro.telemetry.events import (
-    FAULT_DUE, FAULT_INJECTED, FAULT_MULTIBIT, RECOVERY_ABORT,
-    RECOVERY_REENTRY, REPLAY_COMPARE, REPLAY_GATE, ROLLBACK,
+    FAULT_DUE, RECOVERY_ABORT, RECOVERY_REENTRY, REPLAY_COMPARE,
+    REPLAY_GATE, ROLLBACK,
 )
 
 #: RepTFD's scheme-private uncore structure: the replay queue holds the
@@ -184,8 +184,6 @@ class RepTFDSystem(DualCoreSystem):
         self.replay_queue: Deque[_ReplayRecord] = deque()
         self.store_queue = WriteBuffer(
             capacity=self.params.store_queue_entries)
-        self.injector = injector
-        self.fault_events: List[FaultEvent] = []
         self.compares = 0
         self.value_divergences = 0
         self.queue_full_stalls = 0
@@ -197,18 +195,11 @@ class RepTFDSystem(DualCoreSystem):
         self.rollback_aborts = 0
         self._rollback_until = 0
         self._rollback_retries_left = self.params.rollback_retry_budget
-        self._next_strike: Optional[Strike] = None
         #: fault events awaiting the trailer's comparison of the struck
         #: instruction: (trailer-commit threshold, event)
         self._pending: List = []
         super().__init__(program, config, name=name, telemetry=telemetry,
-                         **uncore)
-        if self.injector is not None:
-            # Injected runs must keep the commit-time image an independent
-            # re-execution, never a replay of fetch-time records.
-            for p in self.pipelines:
-                p.commit_replay = "always"
-            self._arm_next_strike(0)
+                         injector=injector, **uncore)
 
     # -- construction hooks -------------------------------------------------
     def make_gate(self, core_id: int) -> CommitGate:
@@ -223,47 +214,22 @@ class RepTFDSystem(DualCoreSystem):
             if self._pending:
                 self._adjudicate(now)
         # drain trailer-verified stores whenever the bus is idle
-        while len(self.store_queue):
-            head = self.store_queue.head()
-            xfer = self.bus.transfer_cycles(self.store_queue.entry_bytes)
-            if self.bus.try_request(now, xfer) < 0:
-                break
-            self.store_queue.pop()
-            self.l2.access(head[1] + self.addr_offset, is_write=True, now=now)
+        self.store_queue.drain(self.bus, self.l2, now, self.addr_offset)
 
     # -- faults -------------------------------------------------------------
-    def _arm_next_strike(self, now: int) -> None:
-        self._next_strike = self.injector.next_strike(now)
-
-    def _process_strikes(self, now: int) -> None:
-        while self._next_strike is not None and self._next_strike.cycle <= now:
-            strike = self._next_strike
-            core_id = strike.core_id()
-            event = FaultEvent(cycle=now, core_id=core_id,
-                               block=strike.block, bit=strike.bit)
-            if self._ev is not None:
-                self._ev.emit(FAULT_INJECTED, now, f"core{core_id}",
-                              args={"block": strike.block,
-                                    "bit": strike.bit,
-                                    "flipped": strike.flipped_bits})
-                if strike.flipped_bits > 1:
-                    self._ev.emit(FAULT_MULTIBIT, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                        "flipped": strike.flipped_bits})
-            if now < self._rollback_until:
-                self._strike_during_rollback(now, core_id, event)
-            elif strike.block == "replay_queue":
-                self._strike_queue(now, event)
-            else:
-                # every core block feeds the compared commit-time image —
-                # the corruption surfaces when the trailer re-executes the
-                # struck instruction, regardless of cluster size (the
-                # full-value compare has no parity blind spot)
-                threshold = self.pipelines[core_id].stats.committed
-                event.outcome = None  # pending comparison
-                self._pending.append((threshold, event))
-            self.fault_events.append(event)
-            self._arm_next_strike(now)
+    def on_strike(self, now: int, strike: Strike, event: FaultEvent) -> None:
+        if now < self._rollback_until:
+            self._strike_during_rollback(now, event.core_id, event)
+        elif strike.block == "replay_queue":
+            self._strike_queue(now, event)
+        else:
+            # every core block feeds the compared commit-time image — the
+            # corruption surfaces when the trailer re-executes the struck
+            # instruction, regardless of cluster size (the full-value
+            # compare has no parity blind spot)
+            threshold = self.pipelines[event.core_id].stats.committed
+            event.outcome = None  # pending comparison
+            self._pending.append((threshold, event))
 
     def _strike_queue(self, now: int, event: FaultEvent) -> None:
         """A strike on a buffered replay record.
@@ -391,8 +357,3 @@ class RepTFDSystem(DualCoreSystem):
             "reptfd.store_queue.full_stalls": float(
                 self.store_queue.full_stalls),
         }
-
-    def result(self):
-        res = super().result()
-        res.fault_events = list(self.fault_events)
-        return res

@@ -25,8 +25,7 @@ from repro.redundancy.pair import DualCoreSystem
 from repro.telemetry import Telemetry
 from repro.telemetry.events import (
     CB_DRAIN, CB_GATE, EIH_INTERRUPT, EIH_RECOVERY, FAULT_DETECTED,
-    FAULT_DUE, FAULT_INJECTED, FAULT_MULTIBIT, FAULT_SDC, RECOVERY_ABORT,
-    RECOVERY_REENTRY,
+    FAULT_DUE, FAULT_SDC, RECOVERY_ABORT, RECOVERY_REENTRY,
 )
 from repro.unsync.comm_buffer import CBEntry, CommBuffer
 from repro.unsync.eih import EIHConfig, ErrorInterruptHandler
@@ -119,9 +118,7 @@ class UnSyncSystem(DualCoreSystem):
             CommBuffer(self.unsync.cb_entries, self.unsync.cb_entry_bytes)
             for _ in range(2)]
         self.eih = ErrorInterruptHandler(self.unsync.eih)
-        self.injector = injector
         self.detectors = detectors if detectors is not None else dict(UNSYNC_DETECTORS)
-        self.fault_events: List[FaultEvent] = []
         self.recovery_cycles_total = 0
         self.due_count = 0
         self.recovery_reentries = 0
@@ -131,7 +128,6 @@ class UnSyncSystem(DualCoreSystem):
         #: cycle of the last *detected* strike per core (paired-strike
         #: DUE window checks; -inf sentinel keeps arithmetic branchless)
         self._last_detected_strike = [-(10 ** 9), -(10 ** 9)]
-        self._next_strike: Optional[Strike] = None
         # UnSync *requires* write-through L1s (Sec III-C-1)
         cfg = config or SystemConfig.table1()
         if cfg.dcache.policy is not WritePolicy.WRITE_THROUGH:
@@ -139,13 +135,7 @@ class UnSyncSystem(DualCoreSystem):
                 "UnSync requires a write-through L1 D-cache (see Figure 2's "
                 "unrecoverable write-back scenario)")
         super().__init__(program, cfg, name=name, telemetry=telemetry,
-                         **uncore)
-        if self.injector is not None:
-            # Injected runs must keep the commit-time image an independent
-            # re-execution, never a replay of fetch-time records.
-            for p in self.pipelines:
-                p.commit_replay = "always"
-            self._arm_next_strike(0)
+                         injector=injector, **uncore)
 
     # -- construction hooks --------------------------------------------------
     def make_gate(self, core_id: int) -> CommitGate:
@@ -193,32 +183,13 @@ class UnSyncSystem(DualCoreSystem):
                           args={"n": drained, "left": len(f0)})
 
     # -- faults ---------------------------------------------------------------
-    def _arm_next_strike(self, now: int) -> None:
-        self._next_strike = self.injector.next_strike(now)
-
-    def _process_strikes(self, now: int) -> None:
-        while self._next_strike is not None and self._next_strike.cycle <= now:
-            strike = self._next_strike
-            core_id = strike.core_id()
-            event = FaultEvent(cycle=now, core_id=core_id,
-                               block=strike.block, bit=strike.bit)
-            if self._ev is not None:
-                self._ev.emit(FAULT_INJECTED, now, f"core{core_id}",
-                              args={"block": strike.block,
-                                    "bit": strike.bit,
-                                    "flipped": strike.flipped_bits})
-                if strike.flipped_bits > 1:
-                    self._ev.emit(FAULT_MULTIBIT, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                        "flipped": strike.flipped_bits})
-            if strike.block == "eih_pending":
-                self._strike_eih_queue(now, event)
-            elif strike.block == "recovery_copy":
-                self._strike_recovery_copy(now, core_id, event)
-            else:
-                self._strike_block(now, core_id, strike, event)
-            self.fault_events.append(event)
-            self._arm_next_strike(now)
+    def on_strike(self, now: int, strike: Strike, event: FaultEvent) -> None:
+        if strike.block == "eih_pending":
+            self._strike_eih_queue(now, event)
+        elif strike.block == "recovery_copy":
+            self._strike_recovery_copy(now, event.core_id, event)
+        else:
+            self._strike_block(now, event.core_id, strike, event)
 
     def _strike_block(self, now: int, core_id: int, strike: Strike,
                       event: FaultEvent) -> None:
@@ -420,11 +391,6 @@ class UnSyncSystem(DualCoreSystem):
             "unsync.recovery.aborts": float(self.recovery_aborts),
             "unsync.due.count": float(self.due_count),
         }
-
-    def result(self):
-        res = super().result()
-        res.fault_events = list(self.fault_events)
-        return res
 
 
 def replace_line(line):

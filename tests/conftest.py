@@ -4,8 +4,35 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults.injector import FaultInjector
 from repro.isa import assemble
 from repro.workloads import load_kernel
+
+
+class ScriptedInjector(FaultInjector):
+    """Deterministic injector replaying a fixed strike list (in cycle
+    order), for directed recovery-path tests."""
+
+    def __init__(self, strikes, inventory=None):
+        super().__init__(0.0, inventory=inventory)
+        self._script = sorted(strikes, key=lambda s: s.cycle)
+        self.recovery_notices = []
+
+    def next_strike(self, now):
+        return self._script.pop(0) if self._script else None
+
+    def on_recovery(self, now, duration_cycles):
+        self.recovery_notices.append((now, duration_cycles))
+
+    def preempt(self, armed):
+        if self._script and (armed is None
+                             or self._script[0].cycle <= armed.cycle):
+            nxt = self._script.pop(0)
+            if armed is not None:
+                self._script.append(armed)
+                self._script.sort(key=lambda s: s.cycle)
+            return nxt
+        return armed
 
 
 SUM_LOOP = """

@@ -27,6 +27,7 @@ from repro.reunion.system import ReunionSystem
 from repro.unsync.eih import EIHConfig, ErrorInterruptHandler
 from repro.unsync.recovery import RecoveryCostModel
 from repro.unsync.system import UnSyncConfig, UnSyncSystem
+from tests.conftest import ScriptedInjector
 
 
 LOOP = """
@@ -54,32 +55,6 @@ buf: .space 64
 @pytest.fixture(scope="module")
 def loop():
     return assemble(LOOP, name="adv_loop")
-
-
-class ScriptedInjector(FaultInjector):
-    """Deterministic injector replaying a fixed strike list (in cycle
-    order), for directed recovery-path tests."""
-
-    def __init__(self, strikes, inventory=None):
-        super().__init__(0.0, inventory=inventory)
-        self._script = sorted(strikes, key=lambda s: s.cycle)
-        self.recovery_notices = []
-
-    def next_strike(self, now):
-        return self._script.pop(0) if self._script else None
-
-    def on_recovery(self, now, duration_cycles):
-        self.recovery_notices.append((now, duration_cycles))
-
-    def preempt(self, armed):
-        if self._script and (armed is None
-                             or self._script[0].cycle <= armed.cycle):
-            nxt = self._script.pop(0)
-            if armed is not None:
-                self._script.append(armed)
-                self._script.sort(key=lambda s: s.cycle)
-            return nxt
-        return armed
 
 
 def fast_unsync(**kw):

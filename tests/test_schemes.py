@@ -18,7 +18,7 @@ from repro.campaign import (
     CampaignError, CampaignSpec, run_campaign,
 )
 from repro.faults.events import Outcome
-from repro.faults.injector import FaultInjector, Strike
+from repro.faults.injector import Strike
 from repro.harness.runner import run_scheme
 from repro.isa import assemble
 from repro.schemes import (
@@ -27,6 +27,7 @@ from repro.schemes import (
 )
 from repro.schemes.meek import MEEKParams, MEEKSystem
 from repro.schemes.reptfd import RepTFDParams, RepTFDSystem
+from tests.conftest import ScriptedInjector
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -55,17 +56,6 @@ buf: .space 64
 @pytest.fixture(scope="module")
 def loop():
     return assemble(LOOP, name="schemes_loop")
-
-
-class ScriptedInjector(FaultInjector):
-    """Deterministic injector replaying a fixed strike list."""
-
-    def __init__(self, strikes):
-        super().__init__(0.0)
-        self._script = sorted(strikes, key=lambda s: s.cycle)
-
-    def next_strike(self, now):
-        return self._script.pop(0) if self._script else None
 
 
 # ---------------------------------------------------------------------------

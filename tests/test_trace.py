@@ -68,7 +68,7 @@ def test_render_compresses_long_spans(sum_loop):
 def test_reunion_has_longer_commit_wait(sum_loop):
     base = BaselineSystem(sum_loop)
     t0 = PipelineTracer()
-    base.pipeline.tracer = t0
+    base.pipelines[0].tracer = t0
     base.run()
 
     reu = ReunionSystem(sum_loop)
