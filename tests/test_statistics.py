@@ -1,12 +1,13 @@
 """Tests for the statistics helpers."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.harness.statistics import (
-    Interval, mean_interval, required_trials, wilson_interval,
+    ndtri, required_trials, wilson_interval,
 )
 
 
@@ -44,24 +45,6 @@ def test_wilson_bounds_property(successes, trials):
     assert 0.0 <= iv.low <= iv.estimate <= iv.high <= 1.0
 
 
-def test_mean_interval_basic():
-    iv = mean_interval([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert iv.estimate == pytest.approx(3.0)
-    assert iv.low < 3.0 < iv.high
-
-
-def test_mean_interval_narrows_with_samples():
-    rng = random.Random(1)
-    small = mean_interval([rng.gauss(0, 1) for _ in range(10)])
-    big = mean_interval([rng.gauss(0, 1) for _ in range(1000)])
-    assert big.width < small.width
-
-
-def test_mean_interval_needs_two():
-    with pytest.raises(ValueError):
-        mean_interval([1.0])
-
-
 def test_required_trials_rare_event():
     # CRC-16 aliasing at 2^-16: tens of millions of trials for 10% rel.
     n = required_trials(2 ** -16, relative_precision=0.10)
@@ -78,3 +61,13 @@ def test_required_trials_validation():
         required_trials(0.0)
     with pytest.raises(ValueError):
         required_trials(0.5, -1)
+
+
+def test_ndtri_known_values_and_limits():
+    assert ndtri(0.5) == 0.0
+    assert ndtri(0.975) == 1.959963984540054
+    assert ndtri(0.025) == -1.9599639845400545
+    assert ndtri(0.0) == -math.inf
+    assert ndtri(1.0) == math.inf
+    for y in (-0.1, 1.1, math.nan):
+        assert math.isnan(ndtri(y))
