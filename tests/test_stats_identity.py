@@ -19,6 +19,12 @@ checkpointing; TMR reports none) and one fixed-seed injected run each,
 whose ``extra`` and ``(cycle, core_id, block, bit, outcome)`` fault-event
 list are compared too.
 
+Every registered protected scheme also gets one fixed-seed injected run
+per benchmark (``<scheme>-injected/<bench>``), compared on ``cycles``,
+``instructions``, ``extra``, ``metrics``, ROB occupancy and the fault-event
+list. These lock the flush, freeze and state-adoption paths that
+fault-free runs never take.
+
 Regenerate the fixture only when a change is *meant* to move simulated
 results::
 
@@ -38,7 +44,7 @@ from repro.checkpoint import CheckpointSystem
 from repro.faults.injector import BLOCKS, BlockInventory, FaultInjector
 from repro.redundancy.tmr import TMRSystem
 from repro.reunion.check_stage import ReunionParams
-from repro.schemes import available, get as get_scheme
+from repro.schemes import available, get as get_scheme, protected_schemes
 from repro.unsync.comm_buffer import ENTRY_BYTES
 from repro.unsync.system import UnSyncConfig
 from repro.workloads.suites import load_benchmark
@@ -47,7 +53,7 @@ FIXTURE = Path(__file__).parent / "data" / "stats_identity.json"
 BENCHMARKS = ("bzip2", "mcf")
 #: systems outside the registry, by case-id prefix
 UNREGISTERED = {"tmr": TMRSystem, "checkpoint": CheckpointSystem}
-#: the fixed-seed injector of the unregistered systems' injected runs
+#: the fixed-seed injector of every injected run
 INJECTED_SER = 1 / 800
 INJECTED_SEED = 3
 #: checkpointing strikes skip the SECDED L1s, so its run reaches both
@@ -76,6 +82,18 @@ def _unregistered_cases() -> List[Tuple[str, str, str, bool]]:
              bench, injected)
             for name in UNREGISTERED for bench in BENCHMARKS
             for injected in (False, True)]
+
+
+def _injected_cases() -> List[Tuple[str, str, str]]:
+    """(case id, protected scheme, benchmark)."""
+    return [(f"{scheme}-injected/{bench}", scheme, bench)
+            for scheme in protected_schemes() for bench in BENCHMARKS]
+
+
+def _fault_events(res) -> List[List[Any]]:
+    return [[e.cycle, e.core_id, e.block, e.bit,
+             e.outcome.value if e.outcome is not None else None]
+            for e in res.fault_events]
 
 
 def _measure(scheme: str, bench: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
@@ -107,11 +125,24 @@ def _measure_unregistered(name: str, bench: str,
     if name == "checkpoint":
         got["metrics"] = dict(sorted(res.metrics.items()))
     if injected:
-        got["fault_events"] = [
-            [e.cycle, e.core_id, e.block, e.bit,
-             e.outcome.value if e.outcome is not None else None]
-            for e in res.fault_events]
+        got["fault_events"] = _fault_events(res)
     return got
+
+
+def _measure_injected(scheme: str, bench: str) -> Dict[str, Any]:
+    system = get_scheme(scheme).build_system(
+        load_benchmark(bench),
+        injector=FaultInjector(INJECTED_SER, seed=INJECTED_SEED))
+    res = system.run()
+    return {
+        "cycles": res.cycles,
+        "instructions": res.instructions,
+        "extra": dict(sorted(res.extra.items())),
+        "metrics": dict(sorted(res.metrics.items())),
+        "rob_mean_occupancy": [p.rob.mean_occupancy()
+                               for p in system.pipelines],
+        "fault_events": _fault_events(res),
+    }
 
 
 def _expected() -> Dict[str, Any]:
@@ -140,9 +171,18 @@ def test_unregistered_system_statistics_unchanged(case, name, bench,
     assert _measure_unregistered(name, bench, injected) == expected[case]
 
 
+@pytest.mark.parametrize("case,scheme,bench", _injected_cases(),
+                         ids=[c[0] for c in _injected_cases()])
+def test_injected_scheme_statistics_unchanged(case, scheme, bench):
+    expected = _expected()
+    assert case in expected, f"{case} missing from {FIXTURE.name}"
+    assert _measure_injected(scheme, bench) == expected[case]
+
+
 def test_fixture_covers_every_registered_scheme():
     assert set(_expected()) == {c[0] for c in _cases()} \
-        | {c[0] for c in _unregistered_cases()}
+        | {c[0] for c in _unregistered_cases()} \
+        | {c[0] for c in _injected_cases()}
 
 
 if __name__ == "__main__":
@@ -152,5 +192,7 @@ if __name__ == "__main__":
             for case, scheme, bench, kwargs in _cases()}
     data.update({case: _measure_unregistered(name, bench, injected)
                  for case, name, bench, injected in _unregistered_cases()})
+    data.update({case: _measure_injected(scheme, bench)
+                 for case, scheme, bench in _injected_cases()})
     FIXTURE.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data)} cases to {FIXTURE}")
