@@ -75,9 +75,9 @@ class _CheckpointGate(CommitGate):
         else:
             result = entry.result
         self.fp.add(entry.pc, result,
-                    entry.mem_addr if entry.is_store else None,
+                    entry.mem_addr if entry.ins.is_store else None,
                     entry.store_value)
-        if entry.is_store and self.core_id == 0:
+        if entry.ins.is_store and self.core_id == 0:
             if sys_.store_queue.can_accept():
                 sys_.store_queue.push(entry.seq, entry.mem_addr,
                                       entry.store_value,

@@ -24,48 +24,44 @@ class EntryState(enum.Enum):
 
 @dataclass(slots=True, eq=False)
 class ROBEntry:
-    """One in-flight instruction.
+    """One in-flight instruction, from fetch to commit.
 
-    ``slots=True``: one of these is allocated per dynamic instruction and
-    threaded through IQ/LSQ/ROB/writeback, so the per-instance dict is
-    measurable overhead at campaign scale. ``eq=False``: entries are
-    compared (and removed from the IQ/LSQ) by identity — two distinct
-    in-flight instructions are never "equal", and field-wise comparison
-    made ``list.remove`` a hot spot.
+    Fetch builds the entry from the oracle's record, so one object carries
+    the instruction through the fetch buffer, the ROB, the event wheel,
+    the ready lists and the LSQ. ``slots=True``: one of these is allocated
+    per dynamic instruction, so the per-instance dict is measurable
+    overhead at campaign scale. ``eq=False``: entries compare by identity
+    — two distinct in-flight instructions are never "equal".
+
+    Field order is the fetch stage's positional constructor call.
     """
 
     seq: int                    # global dynamic sequence number
     ins: Instruction
     pc: int
-    state: EntryState = EntryState.DISPATCHED
-    #: cycle at which execution finishes (set at issue)
-    complete_cycle: int = -1
-    #: wake-up bookkeeping: number of producers that have not issued yet
-    #: (decremented by the producer when it issues), and the earliest
-    #: cycle by which every issued producer has broadcast its result.
-    #: The entry may issue once ``pending == 0 and ready_at <= now``.
-    pending: int = 0
+    #: earliest cycle the entry may leave its current queue: in the fetch
+    #: buffer, the cycle fetch delivers it to dispatch; from dispatch on,
+    #: the cycle by which every issued producer has broadcast its result
     ready_at: int = 0
-    #: consumers to notify when this entry issues (lazily allocated;
-    #: entries of one pipeline only, so a flush drops both sides at once)
-    waiters: Optional[list] = None
-    #: functional results, filled at dispatch (eager execution)
+    #: functional results, from the fetch-time oracle (eager execution)
     result: Optional[int] = None
     mem_addr: Optional[int] = None
     store_value: Optional[int] = None
     branch_taken: bool = False
     branch_target: int = 0
-    mispredicted: bool = False
+    state: EntryState = EntryState.DISPATCHED
+    #: cycle at which execution finishes (set at issue)
+    complete_cycle: int = -1
+    #: wake-up bookkeeping: number of producers that have not issued yet
+    #: (decremented by the producer when it issues). The entry is woken
+    #: into the issue stage's ready list once ``pending == 0``, at
+    #: ``ready_at``.
+    pending: int = 0
+    #: consumers to notify when this entry issues (lazily allocated;
+    #: entries of one pipeline only, so a flush drops both sides at once)
+    waiters: Optional[list] = None
     #: Reunion: index of the fingerprint group this entry belongs to
     fp_group: int = -1
-
-    @property
-    def is_store(self) -> bool:
-        return self.ins.is_store
-
-    @property
-    def is_load(self) -> bool:
-        return self.ins.is_load
 
 
 class ROB:

@@ -162,6 +162,20 @@ MEM_WIDTH = {
     Opcode.LB: 1, Opcode.SB: 1,
 }
 
+#: Functional-unit classes, as the pipeline's issue stage keys them.
+#: Plain ints, so the per-instruction test is an int compare rather than
+#: a chain of Enum identity tests. ``FU_SERIAL`` (TRAP, MEMBAR) takes no
+#: unit slot; ``FU_SWAP`` takes a memory port.
+FU_ALU, FU_MUL, FU_DIV, FU_LOAD, FU_STORE, FU_SWAP, FU_SERIAL = range(7)
+
+_FU_OF_CLASS = {
+    InstrClass.ALU: FU_ALU, InstrClass.NOP: FU_ALU, InstrClass.HALT: FU_ALU,
+    InstrClass.BRANCH: FU_ALU, InstrClass.JUMP: FU_ALU,
+    InstrClass.MUL: FU_MUL, InstrClass.DIV: FU_DIV,
+    InstrClass.LOAD: FU_LOAD, InstrClass.STORE: FU_STORE,
+    InstrClass.SERIALIZING: FU_SERIAL,
+}
+
 
 def is_serializing(op: Opcode) -> bool:
     """True for instructions that force fingerprint synchronization in Reunion."""
@@ -272,6 +286,13 @@ class Instruction:
     @cached_property
     def is_load(self) -> bool:
         return self.iclass is InstrClass.LOAD or self.op is Opcode.SWAP
+
+    @cached_property
+    def fu_class(self) -> int:
+        """Functional-unit class (``FU_*``) the issue stage schedules on."""
+        if self.op is Opcode.SWAP:
+            return FU_SWAP
+        return _FU_OF_CLASS[self.iclass]
 
     @cached_property
     def is_branch(self) -> bool:

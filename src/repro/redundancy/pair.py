@@ -269,12 +269,12 @@ class _WriteBufferGate(CommitGate):
         self.system = system
 
     def can_commit(self, entry: ROBEntry, now: int) -> bool:
-        if entry.is_store:
+        if entry.ins.is_store:
             return self.system.wbuf.can_accept()
         return True
 
     def on_commit(self, entry: ROBEntry, now: int) -> None:
-        if entry.is_store:
+        if entry.ins.is_store:
             self.system.wbuf.push(entry.seq, entry.mem_addr,
                                   entry.store_value, entry.ins.mem_width)
 

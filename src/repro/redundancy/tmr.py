@@ -39,14 +39,14 @@ class _TMRGate(CommitGate):
         self.core_id = core_id
 
     def can_commit(self, entry: ROBEntry, now: int) -> bool:
-        if entry.is_store:
+        if entry.ins.is_store:
             if entry.seq <= self.system.drained_seq:
                 return True  # already voted through; no CB slot needed
             return self.system.cbs[self.core_id].can_accept()
         return True
 
     def on_commit(self, entry: ROBEntry, now: int) -> None:
-        if entry.is_store and entry.seq > self.system.drained_seq:
+        if entry.ins.is_store and entry.seq > self.system.drained_seq:
             self.system.cbs[self.core_id].push(CBEntry(
                 seq=entry.seq, addr=entry.mem_addr,
                 value=entry.store_value, width=entry.ins.mem_width))

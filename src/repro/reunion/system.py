@@ -77,7 +77,7 @@ class _ReunionGate(CommitGate):
             check.record_completion(
                 self.core_id, entry.fp_group, entry.pc,
                 result=entry.result,
-                store_addr=entry.mem_addr if entry.is_store else None,
+                store_addr=entry.mem_addr if entry.ins.is_store else None,
                 store_value=entry.store_value,
                 now=now)
         return True
@@ -85,7 +85,7 @@ class _ReunionGate(CommitGate):
     def can_commit(self, entry: ROBEntry, now: int) -> bool:
         if not self.check.is_verified(entry.fp_group, now):
             return False
-        if entry.is_store and self.core_id == ReunionSystem.VOCAL:
+        if entry.ins.is_store and self.core_id == ReunionSystem.VOCAL:
             # verified stores need a release-queue slot on the vocal core
             return self.system.store_queue.can_accept()
         return True
@@ -96,7 +96,7 @@ class _ReunionGate(CommitGate):
         if head is None or head.seq != entry.seq:  # pragma: no cover
             raise RuntimeError("CSB/commit order diverged")
         csb.pop()
-        if entry.is_store and self.core_id == ReunionSystem.VOCAL:
+        if entry.ins.is_store and self.core_id == ReunionSystem.VOCAL:
             # a single instance of each verified store reaches memory
             self.system.store_queue.push(entry.seq, entry.mem_addr,
                                          entry.store_value,

@@ -133,7 +133,7 @@ class _MEEKGate(CommitGate):
     def on_commit(self, entry: ROBEntry, now: int) -> None:
         system = self.system
         system.check_queue.append(_CheckRecord(
-            seq=entry.seq, is_store=entry.is_store,
+            seq=entry.seq, is_store=entry.ins.is_store,
             mem_addr=entry.mem_addr, store_value=entry.store_value,
             mem_width=entry.ins.mem_width, commit_cycle=now))
         if len(system.check_queue) > system.checkq_max_occupancy:

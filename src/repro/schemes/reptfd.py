@@ -123,7 +123,7 @@ class _LeaderGate(CommitGate):
         system.replay_queue.append(_ReplayRecord(
             seq=entry.seq, pc=entry.pc, result=entry.result,
             mem_addr=entry.mem_addr, store_value=entry.store_value,
-            is_store=entry.is_store, commit_cycle=now))
+            is_store=entry.ins.is_store, commit_cycle=now))
         if len(system.replay_queue) > system.queue_max_occupancy:
             system.queue_max_occupancy = len(system.replay_queue)
 
@@ -146,7 +146,7 @@ class _TrailerGate(CommitGate):
             return False
         if now - head.commit_cycle < system.params.replay_lag:
             return False
-        if entry.is_store:
+        if entry.ins.is_store:
             # verified stores need a release-queue slot
             return system.store_queue.can_accept()
         return True
@@ -161,7 +161,7 @@ class _TrailerGate(CommitGate):
             # fault-free runs never diverge (both images re-execute the
             # same deterministic program); kept as a live invariant
             system.value_divergences += 1  # pragma: no cover
-        if entry.is_store:
+        if entry.ins.is_store:
             system.store_queue.push(entry.seq, entry.mem_addr,
                                     entry.store_value, entry.ins.mem_width)
 
