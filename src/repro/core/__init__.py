@@ -6,7 +6,7 @@ issue -> execute -> writeback -> commit under the structural constraints
 of Table I (4-wide everywhere, 64-entry issue queue, ROB, LSQ, MSHRs,
 bimodal branch prediction, split L1s behind a shared bus + L2).
 
-Functional semantics are evaluated eagerly at dispatch against a private
+Functional semantics are evaluated eagerly at fetch against a private
 architectural image (no wrong-path *data* effects exist in the model;
 branch mispredictions cost fetch-redirect cycles only). This keeps every
 simulated run bit-exact with the golden executor while the timing side
