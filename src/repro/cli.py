@@ -671,7 +671,6 @@ def _cmd_worker(args) -> int:
         raise SystemExit(f"error: {exc}")
     try:
         stats = run_worker(host, port, name=args.name,
-                           poll_interval=args.poll_interval,
                            max_idle=args.max_idle, chaos=chaos,
                            stop=stop)
     except (ServiceError, RetryError, OSError) as exc:
@@ -937,9 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default=None,
                    help="display name in /api/workers (default: "
                         "broker-assigned id)")
-    p.add_argument("--poll-interval", type=float, default=0.5,
-                   metavar="SEC",
-                   help="idle delay between claim attempts (default 0.5)")
     p.add_argument("--max-idle", type=float, default=None, metavar="SEC",
                    help="exit cleanly after this long without a lease "
                         "(default: run until SIGINT/SIGTERM)")

@@ -91,5 +91,5 @@ class Core:
             stats=p.stats,
             mispredict_rate=p.predictor.mispredict_rate(),
             l1d_miss_rate=self.mem.dcache.miss_rate(),
-            rob_mean_occupancy=p.rob.mean_occupancy(),
+            rob_mean_occupancy=p.mean_occupancy(p.rob),
         )

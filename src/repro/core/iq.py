@@ -22,10 +22,5 @@ class IssueQueue:
         self.capacity = capacity
         #: entries dispatched and not yet issued
         self.count = 0
-        self.occupancy_samples = 0
+        #: ``count`` summed over every core-cycle
         self.occupancy_sum = 0
-
-    def mean_occupancy(self) -> float:
-        if not self.occupancy_samples:
-            return 0.0
-        return self.occupancy_sum / self.occupancy_samples

@@ -42,7 +42,7 @@ class LSQ:
         #: word, oldest first
         self._stores: Dict[int, List[ROBEntry]] = {}
         self.forwards = 0
-        self.occupancy_samples = 0
+        #: entries summed over every core-cycle
         self.occupancy_sum = 0
 
     def __len__(self) -> int:
@@ -80,11 +80,6 @@ class LSQ:
         self._entries.clear()
         self._stores.clear()
         return n
-
-    def mean_occupancy(self) -> float:
-        if not self.occupancy_samples:
-            return 0.0
-        return self.occupancy_sum / self.occupancy_samples
 
     def forwarding_store(self, load: ROBEntry) -> Optional[ROBEntry]:
         """Youngest store older than ``load`` whose bytes overlap it."""

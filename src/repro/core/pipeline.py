@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.branch import BimodalPredictor
 from repro.core.config import CoreConfig
@@ -215,6 +215,14 @@ class Pipeline:
         self.stats = PipelineStats()
         self.done = False
 
+    def mean_occupancy(self, structure: Union[ROB, IssueQueue, LSQ]
+                       ) -> float:
+        """Mean entries held by ``structure`` (this core's ROB, IQ or
+        LSQ) per core-cycle: one sample is summed every cycle ``step``
+        counts, so ``stats.cycles`` is the sample count."""
+        cycles = self.stats.cycles
+        return structure.occupancy_sum / cycles if cycles else 0.0
+
     @property
     def commit_replay(self) -> str:
         return "always" if self._replay_always else "reuse"
@@ -235,14 +243,12 @@ class Pipeline:
             return
         self.stats.cycles += 1
         # occupancy sampling, inlined: this runs every cycle of every core
+        # (``stats.cycles`` is the sample count; see mean_occupancy)
         rob = self.rob
-        rob.occupancy_samples += 1
         rob.occupancy_sum += len(rob._entries)
         iq = self.iq
-        iq.occupancy_samples += 1
         iq.occupancy_sum += iq.count
         lsq = self.lsq
-        lsq.occupancy_samples += 1
         lsq.occupancy_sum += len(lsq._entries)
         if now < self.frozen_until:
             return

@@ -72,8 +72,8 @@ class ROB:
             raise ValueError("ROB capacity must be positive")
         self.capacity = capacity
         self._entries: Deque[ROBEntry] = deque()
-        # occupancy statistics (for the Fig 5 discussion)
-        self.occupancy_samples = 0
+        #: entries summed over every core-cycle (for the Fig 5
+        #: discussion); ``Pipeline.mean_occupancy`` averages it
         self.occupancy_sum = 0
 
     def __len__(self) -> int:
@@ -82,36 +82,8 @@ class ROB:
     def __iter__(self) -> Iterator[ROBEntry]:
         return iter(self._entries)
 
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._entries
-
-    def head(self) -> Optional[ROBEntry]:
-        return self._entries[0] if self._entries else None
-
-    def push(self, entry: ROBEntry) -> None:
-        if self.full:
-            raise RuntimeError("dispatch into full ROB")
-        self._entries.append(entry)
-
-    def pop(self) -> ROBEntry:
-        return self._entries.popleft()
-
     def flush(self) -> int:
         """Drop every in-flight entry (recovery); returns count dropped."""
         n = len(self._entries)
         self._entries.clear()
         return n
-
-    def sample_occupancy(self) -> None:
-        self.occupancy_samples += 1
-        self.occupancy_sum += len(self._entries)
-
-    def mean_occupancy(self) -> float:
-        if not self.occupancy_samples:
-            return 0.0
-        return self.occupancy_sum / self.occupancy_samples

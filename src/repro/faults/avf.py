@@ -114,13 +114,13 @@ def pipeline_avf_report(pipeline: "Pipeline", memport: "MemPort",
     cfg = pipeline.config
     rows = [
         StructureAVF("rob", cfg.rob_entries * 72,
-                     occupancy_avf(pipeline.rob.mean_occupancy(),
+                     occupancy_avf(pipeline.mean_occupancy(pipeline.rob),
                                    cfg.rob_entries)),
         StructureAVF("iq", cfg.iq_entries * 40,
-                     occupancy_avf(pipeline.iq.mean_occupancy(),
+                     occupancy_avf(pipeline.mean_occupancy(pipeline.iq),
                                    cfg.iq_entries)),
         StructureAVF("lsq", cfg.lsq_entries * 72,
-                     occupancy_avf(pipeline.lsq.mean_occupancy(),
+                     occupancy_avf(pipeline.mean_occupancy(pipeline.lsq),
                                    cfg.lsq_entries)),
     ]
     if program is not None:

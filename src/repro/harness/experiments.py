@@ -88,12 +88,13 @@ def fig5_fi_latency(benchmarks: Sequence[str] = FIG5_DEFAULT,
             from repro.reunion.system import ReunionSystem
             system = ReunionSystem(program, params=params)
             res = system.run()
+            core0 = system.pipelines[0]
             points.append(Fig5Point(
                 benchmark=name,
                 fingerprint_interval=fi,
                 comparison_latency=lat,
                 performance_decrease=1.0 - base.cycles / res.cycles,
-                rob_mean_occupancy=system.pipelines[0].rob.mean_occupancy(),
+                rob_mean_occupancy=core0.mean_occupancy(core0.rob),
             ))
     return points
 

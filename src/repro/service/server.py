@@ -17,7 +17,9 @@ Worker API (the distributed tier — see :mod:`repro.service.workers`)::
 
     POST /api/workers/register        join the worker pool
     GET  /api/workers                 worker + lease-broker status
-    POST /api/workers/<id>/claim      claim the next pending lease
+    POST /api/workers/<id>/claim      claim the next pending lease,
+                                      held up to ``{"wait": s}`` seconds
+                                      for one to be offered
     POST /api/workers/<id>/heartbeat  renew liveness + held leases
     POST /api/workers/<id>/results    post a lease's trial records
 
@@ -25,6 +27,13 @@ With ``--chaos`` the worker API also doubles as a fault surface:
 seeded 500s and response stalls are injected ahead of routing, and
 journal appends can be torn mid-line — the soak harness for the
 retry/requeue machinery.
+
+A claim with a ``wait`` is a long poll. It parks on the event loop (a
+future the broker resolves through ``loop.call_soon_threadsafe``), never
+on a pool thread: the default executor is what runs jobs, and parked
+claims must not keep a job from starting. The hold is capped at
+:data:`~repro.service.workers.CLAIM_WAIT`, and a drain ends it with
+``{"lease": null}``. A claim without ``wait`` is answered at once.
 
 Every response is ``Connection: close`` — requests are short-lived and
 the streaming endpoint holds its connection open anyway. Submissions are
@@ -38,7 +47,8 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.campaign.engine import summarize_store, summarize_stores
 from repro.campaign.spec import CampaignError, CampaignSpec
@@ -46,6 +56,7 @@ from repro.service.dashboard import DASHBOARD_HTML
 from repro.service.journal import JobJournal
 from repro.service.scheduler import DONE, JobScheduler
 from repro.service.shards import shard_paths
+from repro.service.workers import CLAIM_WAIT, LeaseBroker
 
 #: request-line / header limits (we only ever serve small JSON bodies)
 MAX_HEADER_LINES = 64
@@ -115,6 +126,8 @@ class CampaignService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._scheduler_task: Optional["asyncio.Task[None]"] = None
         self._conn_tasks: list = []
+        #: connection tasks serving a claim; a drain lets them answer
+        self._claim_tasks: Set["asyncio.Task[None]"] = set()
 
     async def start(self) -> None:
         self.scheduler.adopt_orphans()
@@ -127,15 +140,20 @@ class CampaignService:
         """Graceful drain: stop admissions, finish in-flight waves,
         close the listener, and wait for the scheduler to settle."""
         self.scheduler.request_stop()
+        if self.scheduler.broker is not None:
+            # held claims see the drain and answer {"lease": null}
+            self.scheduler.broker.wake_claimers()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         if self._scheduler_task is not None:
             await self._scheduler_task
-        # open connections (long-lived SSE streams, mostly) die with us
+        # open connections (long-lived SSE streams, mostly) die with us;
+        # woken claims are left to send their {"lease": null}
         pending = list(self._conn_tasks)
         for conn in pending:
-            conn.cancel()
+            if conn not in self._claim_tasks:
+                conn.cancel()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
 
@@ -207,8 +225,8 @@ class CampaignService:
                     # stall only this connection past the client's
                     # socket timeout; the loop keeps serving others
                     await asyncio.sleep(delay)
-            status, payload, content_type = self._route(
-                method, target, body)
+            status, payload, content_type = await self._route(
+                method, target, body, reader.at_eof)
             await self._write_response(writer, status, payload,
                                        content_type)
         except (ConnectionResetError, BrokenPipeError,
@@ -217,6 +235,7 @@ class CampaignService:
         finally:
             if task is not None and task in self._conn_tasks:
                 self._conn_tasks.remove(task)
+                self._claim_tasks.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -224,8 +243,9 @@ class CampaignService:
                 pass
 
     # -- routing ------------------------------------------------------------
-    def _route(self, method: str, target: str,
-               body: bytes) -> Tuple[int, bytes, str]:
+    async def _route(self, method: str, target: str, body: bytes,
+                     client_gone: Callable[[], bool]
+                     ) -> Tuple[int, bytes, str]:
         target = target.split("?", 1)[0]
         if target == "/" and method == "GET":
             return 200, DASHBOARD_HTML.encode(), "text/html; charset=utf-8"
@@ -249,12 +269,14 @@ class CampaignService:
         if target.startswith("/api/jobs/"):
             return self._job_route(method, target[len("/api/jobs/"):])
         if target == "/api/workers" or target.startswith("/api/workers/"):
-            return self._worker_route(method, target, body)
+            return await self._worker_route(method, target, body,
+                                            client_gone)
         return 404, self._json_bytes({"error": f"no route {target!r}"}), \
             "application/json"
 
-    def _worker_route(self, method: str, target: str,
-                      body: bytes) -> Tuple[int, bytes, str]:
+    async def _worker_route(self, method: str, target: str, body: bytes,
+                            client_gone: Callable[[], bool]
+                            ) -> Tuple[int, bytes, str]:
         broker = self.scheduler.broker
         if broker is None:
             return 404, self._json_bytes(
@@ -266,42 +288,100 @@ class CampaignService:
                  "leases": broker.stats()}), "application/json"
         try:
             data = json.loads(body.decode() or "{}")
-        except json.JSONDecodeError:
-            return 400, self._json_bytes({"error": "bad JSON body"}), \
-                "application/json"
+        except ValueError:
+            return self._bad_request("bad JSON body")
+        if not isinstance(data, dict):
+            return self._bad_request("body must be a JSON object")
         if target == "/api/workers/register" and method == "POST":
-            return 200, self._json_bytes(
-                broker.register(data.get("name"))), "application/json"
+            name = data.get("name")
+            if name is not None and not isinstance(name, str):
+                return self._bad_request("'name' must be a string")
+            return 200, self._json_bytes(broker.register(name)), \
+                "application/json"
         rest = target[len("/api/workers/"):]
         worker_id, _, action = rest.partition("/")
         if method != "POST":
             return 405, self._json_bytes({"error": "method not allowed"}), \
                 "application/json"
         if action == "claim":
+            wait = data.get("wait", 0.0)
+            # ``not wait >= 0`` also rejects NaN
+            if isinstance(wait, bool) or not isinstance(wait, (int, float)) \
+                    or not wait >= 0:
+                return self._bad_request(
+                    "'wait' must be a non-negative number of seconds")
             try:
-                lease = broker.claim(worker_id)
+                lease = await self._claim(broker, worker_id,
+                                          float(min(wait, CLAIM_WAIT)),
+                                          client_gone)
             except KeyError:
-                return 404, self._json_bytes(
-                    {"error": f"unknown worker {worker_id!r}; "
-                     f"re-register"}), "application/json"
+                return self._unknown_worker(worker_id)
             return 200, self._json_bytes({"lease": lease}), \
                 "application/json"
         if action == "heartbeat":
-            ack = broker.heartbeat(worker_id,
-                                   [str(x) for x in data.get("leases", [])])
+            leases = data.get("leases", [])
+            if not isinstance(leases, list):
+                return self._bad_request("'leases' must be a list")
+            ack = broker.heartbeat(worker_id, [str(x) for x in leases])
             if ack is None:
-                return 404, self._json_bytes(
-                    {"error": f"unknown worker {worker_id!r}; "
-                     f"re-register"}), "application/json"
+                return self._unknown_worker(worker_id)
             return 200, self._json_bytes(ack), "application/json"
         if action == "results":
+            records = data.get("records", [])
+            if not isinstance(records, list) \
+                    or not all(isinstance(r, dict) for r in records):
+                return self._bad_request(
+                    "'records' must be a list of objects")
             accepted = broker.complete(
-                worker_id, str(data.get("lease_id", "")),
-                list(data.get("records", [])))
+                worker_id, str(data.get("lease_id", "")), records)
             return 200, self._json_bytes({"accepted": accepted}), \
                 "application/json"
         return 404, self._json_bytes(
             {"error": f"no worker route {target!r}"}), "application/json"
+
+    async def _claim(self, broker: LeaseBroker, worker_id: str,
+                     hold: float, client_gone: Callable[[], bool]
+                     ) -> Optional[Dict]:
+        """Claim a lease for ``worker_id``, parking up to ``hold``
+        seconds until the broker offers or requeues one.
+
+        A wake-up is a hint, not a grant: another held claim may take
+        the lease first, so the loop claims again and parks for what is
+        left of the hold. A claim whose worker hung up while parked
+        (killed, say) takes nothing, so no lease waits out a TTL on a
+        dead connection. Raises :class:`KeyError` for an unknown worker.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + hold
+        task = asyncio.current_task()
+        if task is not None:
+            self._claim_tasks.add(task)
+        while True:
+            remaining = deadline - loop.time()
+            if remaining <= 0.0:
+                return broker.claim(worker_id)
+            if self.scheduler.stopping:
+                return None
+            woken: "asyncio.Future[None]" = loop.create_future()
+            wake = partial(loop.call_soon_threadsafe, _settle, woken)
+            lease = broker.claim(worker_id, wake)
+            if lease is not None:
+                return lease
+            try:
+                await asyncio.wait((woken,), timeout=remaining)
+            finally:
+                broker.drop_claimer(wake)
+            if client_gone():
+                return None
+
+    def _bad_request(self, message: str) -> Tuple[int, bytes, str]:
+        return 400, self._json_bytes({"error": message}), \
+            "application/json"
+
+    def _unknown_worker(self, worker_id: str) -> Tuple[int, bytes, str]:
+        return 404, self._json_bytes(
+            {"error": f"unknown worker {worker_id!r}; re-register"}), \
+            "application/json"
 
     def _submit(self, body: bytes) -> Tuple[int, bytes, str]:
         if self.scheduler.stopping:
@@ -377,6 +457,11 @@ class CampaignService:
             await asyncio.sleep(self.stream_interval)
 
 
+def _settle(future: "asyncio.Future[None]") -> None:
+    if not future.done():
+        future.set_result(None)
+
+
 async def _serve_async(service: CampaignService) -> None:
     loop = asyncio.get_running_loop()
     stop_requested = asyncio.Event()
@@ -405,7 +490,6 @@ def serve(*, host: str, port: int, data_dir: str,
     import os
 
     from repro.service.chaos import ChaosController
-    from repro.service.workers import LeaseBroker
     from repro.telemetry.metrics import MetricsRegistry
     chaos_ctl = ChaosController.from_spec(chaos)
     journal = JobJournal(journal_path if journal_path is not None

@@ -5,8 +5,9 @@ Topology::
     repro serve (coordinator)                     repro worker --connect
     +---------------------------------+           +---------------------+
     | scheduler -- WaveDispatcher     |  claim    | lease -> run trials |
-    |                 |               | <-------> | heartbeat (TTL/3)   |
-    |             LeaseBroker         |  results  | post records        |
+    |                 |               | (held)    | heartbeat (TTL/3)   |
+    |             LeaseBroker         | <-------> | post records        |
+    |                                 |  results  |                     |
     +---------------------------------+           +---------------------+
 
 The engine's wave loop is untouched: :class:`WaveDispatcher` is a
@@ -19,6 +20,11 @@ at-least-once: an expired lease (dead worker, dropped heartbeats) is
 requeued, and because every trial is a pure function of its spec, the
 first completion per (cell, seed) key wins and the store stays
 byte-identical to a local run.
+
+A claim is a long poll: the worker asks the coordinator to hold it open
+for up to :data:`CLAIM_WAIT` seconds, and the broker wakes the held
+claim the moment a lease is offered or requeued, so an idle worker
+starts a new lease without sleeping between claims.
 
 Graceful degradation, in order of escalation:
 
@@ -68,6 +74,12 @@ ABANDONED = "abandoned"
 #: taken back by the dispatcher for local execution; late completions
 #: from presumed-dead workers are rejected so results stay single-source
 WITHDRAWN = "withdrawn"
+
+#: longest a claim is held open waiting for a lease (seconds): what
+#: ``run_worker`` asks for and the most the coordinator grants. Well
+#: under half of ``run_worker``'s default 5 s request timeout, so a held
+#: claim never reads as a dead socket; a drain ends the hold early.
+CLAIM_WAIT = 1.0
 
 
 def trial_to_wire(trial: TrialSpec) -> Dict:
@@ -142,6 +154,9 @@ class LeaseBroker:
         self._workers: Dict[str, WorkerInfo] = {}
         self._leases: Dict[str, Lease] = {}
         self._queue: List[str] = []
+        #: held claims' wake-up callbacks, each fired (and dropped) once
+        #: a lease becomes claimable
+        self._claimers: List[Callable[[], object]] = []
         self._worker_seq = itertools.count(1)
         self.ever_registered = False
         self.counters: Dict[str, int] = {
@@ -218,10 +233,19 @@ class LeaseBroker:
             for lease in leases:
                 self._leases[lease.lease_id] = lease
                 self._queue.append(lease.lease_id)
+            self._wake_claimers_locked()
             self._cv.notify_all()
 
-    def claim(self, worker_id: str) -> Optional[Dict]:
+    def claim(self, worker_id: str,
+              on_claimable: Optional[Callable[[], object]] = None
+              ) -> Optional[Dict]:
         """Hand the next pending lease to ``worker_id`` (None if idle).
+
+        When there is none and ``on_claimable`` is given, it is called
+        once — from whichever thread offers or requeues a lease, with
+        the broker lock held, so it must only schedule work — unless
+        :meth:`drop_claimer` removes it first. Registering under the
+        same lock as the failed claim means no offer can slip between.
 
         Raises :class:`KeyError` for an unknown worker so the HTTP
         layer can 404 and trigger re-registration.
@@ -247,7 +271,25 @@ class LeaseBroker:
                         "job_id": lease.job_id,
                         "ttl": self.lease_ttl,
                         "trials": [trial_to_wire(t) for t in lease.trials]}
+            if on_claimable is not None:
+                self._claimers.append(on_claimable)
             return None
+
+    def drop_claimer(self, on_claimable: Callable[[], object]) -> None:
+        """Forget a held claim's callback (its hold ended unwoken)."""
+        with self._cv:
+            if on_claimable in self._claimers:
+                self._claimers.remove(on_claimable)
+
+    def wake_claimers(self) -> None:
+        """Fire every held claim's callback (a drain ends the holds)."""
+        with self._cv:
+            self._wake_claimers_locked()
+
+    def _wake_claimers_locked(self) -> None:
+        claimers, self._claimers = self._claimers, []
+        for wake in claimers:
+            wake()
 
     def complete(self, worker_id: str, lease_id: str,
                  records: Sequence[Dict]) -> bool:
@@ -301,6 +343,7 @@ class LeaseBroker:
                 lease.worker_id = None
                 self._queue.append(lease.lease_id)
                 self._count("requeued")
+                self._wake_claimers_locked()
         return expired
 
     def expire_overdue(self) -> int:
@@ -595,8 +638,11 @@ class WorkerClient:
         return self._request("POST", "/api/workers/register",
                              {"name": name})
 
-    def claim(self, worker_id: str) -> Optional[Dict]:
-        data = self._request("POST", f"/api/workers/{worker_id}/claim")
+    def claim(self, worker_id: str, wait: float = 0.0) -> Optional[Dict]:
+        """Claim a lease, letting the coordinator hold the request up to
+        ``wait`` seconds for one to be offered."""
+        data = self._request("POST", f"/api/workers/{worker_id}/claim",
+                             {"wait": wait})
         return data.get("lease")
 
     def heartbeat(self, worker_id: str,
@@ -637,7 +683,6 @@ def _heartbeat_loop(client: WorkerClient, state: Dict,
 
 def run_worker(host: str, port: int, *, name: Optional[str] = None,
                runner: Callable[[TrialSpec], TrialResult] = run_trial,
-               poll_interval: float = 0.2,
                max_idle: Optional[float] = None,
                chaos: Optional[ChaosController] = None,
                stop: Optional[threading.Event] = None,
@@ -646,10 +691,14 @@ def run_worker(host: str, port: int, *, name: Optional[str] = None,
                clock: Callable[[], float] = time.monotonic) -> Dict:
     """Worker main loop: register, claim leases, run trials, post results.
 
-    Exits cleanly when ``stop`` is set or after ``max_idle`` seconds
-    without a lease (None = run until signalled). A 404 from the
-    coordinator (restart wiped broker state) triggers re-registration;
-    a lost lease simply requeues on the coordinator side.
+    Each claim is held open by the coordinator until a lease is offered
+    or :data:`CLAIM_WAIT` passes (less when less ``max_idle`` time is
+    left), and an empty answer loops straight back into the next claim.
+    Exits cleanly when ``stop`` is set (noticed once the current claim
+    or lease ends) or after ``max_idle`` seconds without a lease (None =
+    run until signalled). A 404 from the coordinator (restart wiped
+    broker state) triggers re-registration; a lost lease simply
+    requeues on the coordinator side.
     """
     if stop is None:
         stop = threading.Event()
@@ -666,13 +715,18 @@ def run_worker(host: str, port: int, *, name: Optional[str] = None,
         name="worker-heartbeat", daemon=True)
     beat.start()
     stats = {"leases": 0, "trials": 0, "reregistered": 0, "lost": 0}
+    # half the socket timeout leaves room for the answer to come back
+    hold = min(CLAIM_WAIT, request_timeout / 2.0)
     idle_deadline = None if max_idle is None else clock() + max_idle
     try:
         while not stop.is_set():
-            if idle_deadline is not None and clock() >= idle_deadline:
-                break
+            wait = hold
+            if idle_deadline is not None:
+                wait = min(wait, idle_deadline - clock())
+                if wait <= 0.0:
+                    break
             try:
-                payload = client.claim(state["worker_id"])
+                payload = client.claim(state["worker_id"], wait)
             except ServiceError as exc:
                 if exc.status == 404:
                     session = client.register(name)
@@ -681,7 +735,6 @@ def run_worker(host: str, port: int, *, name: Optional[str] = None,
                     continue
                 raise
             if payload is None:
-                stop.wait(timeout=poll_interval)
                 continue
             if idle_deadline is not None:
                 idle_deadline = clock() + max_idle  # type: ignore[operator]

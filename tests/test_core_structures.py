@@ -8,66 +8,75 @@ against the reference queue scan.
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import Core
 from repro.core.branch import BimodalPredictor
 from repro.core.config import CoreConfig, SystemConfig
 from repro.core.iq import IssueQueue
 from repro.core.lsq import LSQ
-from repro.core.rob import EntryState, ROB, ROBEntry
+from repro.core.rob import ROB, ROBEntry
 from repro.isa.instructions import Instruction, Opcode
-
-
-def entry(seq, op=Opcode.ADD, **kw):
-    ins_kw = {}
-    if op in (Opcode.SW, Opcode.LW):
-        ins_kw = dict(rd=1, rs1=2)
-    elif op is Opcode.ADD:
-        ins_kw = dict(rd=1, rs1=2, rs2=3)
-    e = ROBEntry(seq=seq, ins=Instruction(op, **ins_kw), pc=4 * seq)
-    for k, v in kw.items():
-        setattr(e, k, v)
-    return e
 
 
 # ---------------------------------------------------------------------------
 # ROB
 # ---------------------------------------------------------------------------
-def test_rob_fifo_order():
-    rob = ROB(4)
-    for i in range(3):
-        rob.push(entry(i))
-    assert rob.head().seq == 0
-    assert rob.pop().seq == 0
-    assert rob.head().seq == 1
+def step_core(core, cycles, observe=None):
+    """Step a core ``cycles`` times, calling ``observe(pipeline)`` before
+    each step (what the step samples)."""
+    for now in range(cycles):
+        if observe is not None:
+            observe(core.pipeline)
+        core.step(now)
 
 
-def test_rob_capacity():
-    rob = ROB(2)
-    rob.push(entry(0))
-    rob.push(entry(1))
-    assert rob.full
-    with pytest.raises(RuntimeError):
-        rob.push(entry(2))
+def test_rob_fifo_order(sum_loop):
+    """The pipeline keeps the ROB in dispatch (= seq) order, oldest at
+    the head, every cycle."""
+    core = Core(sum_loop)
+
+    def in_order(p):
+        seqs = [e.seq for e in p.rob]
+        assert seqs == sorted(seqs)
+        assert len(set(seqs)) == len(seqs)
+    step_core(core, 300, in_order)
+    assert core.pipeline.stats.committed > 0
 
 
-def test_rob_flush():
-    rob = ROB(8)
-    for i in range(5):
-        rob.push(entry(i))
-    assert rob.flush() == 5
-    assert rob.empty
+def test_rob_capacity(sum_loop):
+    core = Core(sum_loop, config=SystemConfig(core=CoreConfig(rob_entries=2)))
+
+    def bounded(p):
+        assert len(p.rob) <= 2
+    step_core(core, 300, bounded)
+    assert core.pipeline.stats.dispatch_stall_rob > 0
 
 
-def test_rob_occupancy_sampling():
-    rob = ROB(8)
-    rob.push(entry(0))
-    rob.sample_occupancy()
-    rob.push(entry(1))
-    rob.sample_occupancy()
-    assert rob.mean_occupancy() == pytest.approx(1.5)
+def test_rob_flush(sum_loop):
+    core = Core(sum_loop)
+    now = 0
+    while not len(core.pipeline.rob) and now < 1000:
+        core.step(now)
+        now += 1
+    held = len(core.pipeline.rob)
+    assert held > 0
+    assert core.pipeline.flush_pipeline() == held
+    assert len(core.pipeline.rob) == 0
 
 
-def test_rob_mean_occupancy_empty():
-    assert ROB(4).mean_occupancy() == 0.0
+def test_rob_occupancy_sampling(sum_loop):
+    """One sample per core-cycle, taken at the start of the cycle."""
+    core = Core(sum_loop)
+    seen = []
+    step_core(core, 200, lambda p: seen.append(len(p.rob)))
+    p = core.pipeline
+    assert p.stats.cycles == len(seen)
+    assert p.mean_occupancy(p.rob) == pytest.approx(sum(seen) / len(seen))
+    assert p.mean_occupancy(p.rob) > 0
+
+
+def test_rob_mean_occupancy_empty(sum_loop):
+    p = Core(sum_loop).pipeline
+    assert p.mean_occupancy(p.rob) == 0.0
 
 
 def test_rob_zero_capacity_rejected():

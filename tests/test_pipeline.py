@@ -156,7 +156,7 @@ def test_iq_stall_counted_with_tiny_iq(sum_loop):
     assert res.state.regs == golden.run(sum_loop).state.regs
     # every dispatched entry has issued by the end of the run
     assert core.pipeline.iq.count == 0
-    assert 0 < core.pipeline.iq.mean_occupancy() <= 2
+    assert 0 < core.pipeline.mean_occupancy(core.pipeline.iq) <= 2
 
 
 def test_stats_committed_excludes_halt(sum_loop):

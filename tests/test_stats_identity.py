@@ -103,7 +103,7 @@ def _measure(scheme: str, bench: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
         "cycles": res.cycles,
         "instructions": res.instructions,
         "metrics": dict(sorted(res.metrics.items())),
-        "rob_mean_occupancy": [p.rob.mean_occupancy()
+        "rob_mean_occupancy": [p.mean_occupancy(p.rob)
                                for p in system.pipelines],
     }
 
@@ -119,7 +119,7 @@ def _measure_unregistered(name: str, bench: str,
         "cycles": res.cycles,
         "instructions": res.instructions,
         "extra": dict(sorted(res.extra.items())),
-        "rob_mean_occupancy": [p.rob.mean_occupancy()
+        "rob_mean_occupancy": [p.mean_occupancy(p.rob)
                                for p in system.pipelines],
     }
     if name == "checkpoint":
@@ -139,7 +139,7 @@ def _measure_injected(scheme: str, bench: str) -> Dict[str, Any]:
         "instructions": res.instructions,
         "extra": dict(sorted(res.extra.items())),
         "metrics": dict(sorted(res.metrics.items())),
-        "rob_mean_occupancy": [p.rob.mean_occupancy()
+        "rob_mean_occupancy": [p.mean_occupancy(p.rob)
                                for p in system.pipelines],
         "fault_events": _fault_events(res),
     }

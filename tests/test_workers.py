@@ -3,23 +3,28 @@ worker loop over HTTP, chaos injection, and the byte-identity of
 distributed stores against direct local runs."""
 
 import asyncio
+import http.client
 import json
+import os
 import random
+import socket
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaign import CampaignSpec, TrialResult
 from repro.campaign.engine import run_campaign
 from repro.campaign.executor import ExecutionReport
+from repro.service import server as server_mod, workers as workers_mod
 from repro.service.chaos import ChaosConfig, ChaosController, ChaosError
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.journal import JobJournal
 from repro.service.scheduler import DONE, JobScheduler
 from repro.service.server import CampaignService
-from repro.service.workers import (ABANDONED, CLAIMED, PENDING,
-                                   LeaseBroker, WaveDispatcher,
+from repro.service.workers import (ABANDONED, CLAIM_WAIT, CLAIMED, PENDING,
+                                   Lease, LeaseBroker, WaveDispatcher,
                                    WorkerClient, run_worker,
                                    trial_from_wire, trial_to_wire)
 
@@ -410,33 +415,67 @@ def test_journal_repair_completes_newline_less_record(tmp_path):
 # ---------------------------------------------------------------------------
 # HTTP worker loop end-to-end
 # ---------------------------------------------------------------------------
+class RunningService:
+    """Service with a lease broker on an event loop in its own thread.
+
+    There is NO local runner injection: submitted jobs can only finish
+    through distributed workers or the dispatcher's local fallback
+    (which uses fast_runner)."""
+
+    def __init__(self, tmp_path, broker):
+        self.broker = broker
+        sched = JobScheduler(
+            tmp_path, journal=JobJournal(tmp_path / "journal.jsonl"),
+            runner=fast_runner, default_workers=1, broker=broker,
+            expect_workers=1, worker_wait=10.0)
+        self.svc = CampaignService(sched, port=0, stream_interval=0.05)
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+        deadline = time.monotonic() + 10.0
+        while not self.svc.port and time.monotonic() < deadline:
+            time.sleep(0.01)
+        self._stopped = False
+
+    def _run(self):
+        asyncio.set_event_loop(self.loop)
+        self.loop.run_until_complete(self.svc.start())
+        self.loop.run_forever()
+
+    def stop(self):
+        """Drain the service; returns how long ``stop()`` took."""
+        if self._stopped:
+            return 0.0
+        self._stopped = True
+        started = time.monotonic()
+        asyncio.run_coroutine_threadsafe(
+            self.svc.stop(), self.loop).result(timeout=30)
+        took = time.monotonic() - started
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+        self.loop.close()
+        return took
+
+
 @pytest.fixture()
-def worker_service(tmp_path):
-    """Service with a lease broker and NO local runner injection — the
-    submitted jobs can only finish through distributed workers or the
-    dispatcher's local fallback (which uses fast_runner)."""
-    broker = LeaseBroker(lease_ttl=2.0)
-    sched = JobScheduler(
-        tmp_path, journal=JobJournal(tmp_path / "journal.jsonl"),
-        runner=fast_runner, default_workers=1, broker=broker,
-        expect_workers=1, worker_wait=10.0)
-    svc = CampaignService(sched, port=0, stream_interval=0.05)
-    loop = asyncio.new_event_loop()
+def running_service(tmp_path):
+    services = []
 
-    def run():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(svc.start())
-        loop.run_forever()
+    def start(broker=None):
+        service = RunningService(tmp_path, broker or LeaseBroker(
+            lease_ttl=2.0))
+        services.append(service)
+        return service
+    yield start
+    for service in services:
+        service.stop()
 
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    deadline = time.monotonic() + 10.0
-    while not svc.port and time.monotonic() < deadline:
-        time.sleep(0.01)
-    yield svc, broker
-    asyncio.run_coroutine_threadsafe(svc.stop(), loop).result(timeout=30)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=10)
+
+@pytest.fixture()
+def worker_service(running_service):
+    service = running_service()
+    return service.svc, service.broker
 
 
 def test_worker_over_http_runs_job(tmp_path, worker_service):
@@ -444,8 +483,7 @@ def test_worker_over_http_runs_job(tmp_path, worker_service):
     stop = threading.Event()
     worker = threading.Thread(
         target=run_worker, args=("127.0.0.1", svc.port),
-        kwargs=dict(name="w-http", runner=fast_runner,
-                    poll_interval=0.02, stop=stop),
+        kwargs=dict(name="w-http", runner=fast_runner, stop=stop),
         daemon=True)
     worker.start()
     client = ServiceClient("127.0.0.1", svc.port, timeout=10.0)
@@ -492,9 +530,205 @@ def test_worker_404_triggers_reregistration(worker_service):
 
 
 def test_run_worker_max_idle_exits(worker_service):
+    """The claim hold shrinks to the idle time left, so an idle worker
+    still exits on time."""
     svc, broker = worker_service
+    started = time.monotonic()
     stats = run_worker("127.0.0.1", svc.port, name="idler",
-                       runner=fast_runner, poll_interval=0.02,
-                       max_idle=0.2)
+                       runner=fast_runner, max_idle=0.2)
+    assert time.monotonic() - started < 0.5
     assert stats["leases"] == 0
     assert stats["trials"] == 0
+
+
+# ---------------------------------------------------------------------------
+# long-poll claims
+# ---------------------------------------------------------------------------
+def post(port, path, body=None, timeout=10.0):
+    """One worker-API request without retries: (status, decoded body)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
+    try:
+        payload = None if body is None else body.encode()
+        conn.request("POST", path, body=payload)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read() or b"{}")
+    finally:
+        conn.close()
+
+
+def held_claim(port, worker_id, wait):
+    """Start a claim in a thread; ``result`` gets (status, body, when)."""
+    result = {}
+
+    def claim():
+        status, body = post(port, f"/api/workers/{worker_id}/claim",
+                            json.dumps({"wait": wait}))
+        result.update(status=status, body=body, at=time.monotonic())
+
+    thread = threading.Thread(target=claim, daemon=True)
+    thread.start()
+    return thread, result
+
+
+def one_lease(lease_id):
+    return Lease(lease_id=lease_id, job_id="j",
+                 trials=wire_trials(small_spec())[:1])
+
+
+def test_held_claim_returns_lease_offered_later(worker_service):
+    svc, broker = worker_service
+    worker_id = broker.register("parked")["worker_id"]
+    thread, result = held_claim(svc.port, worker_id, 1.0)
+    time.sleep(0.3)
+    offered_at = time.monotonic()
+    broker.offer([one_lease("L-late")])
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert result["status"] == 200
+    assert result["body"]["lease"]["lease_id"] == "L-late"
+    assert result["at"] - offered_at < 0.15
+
+
+def test_held_claim_returns_requeued_lease(running_service):
+    clock = FakeClock()
+    broker = LeaseBroker(lease_ttl=5.0, clock=clock)
+    service = running_service(broker)
+    dead = broker.register("dead")["worker_id"]
+    heir = broker.register("heir")["worker_id"]
+    broker.offer([one_lease("L-orphan")])
+    assert broker.claim(dead)["lease_id"] == "L-orphan"
+    thread, result = held_claim(service.svc.port, heir, 1.0)
+    time.sleep(0.3)
+    clock.now += 6.0
+    requeued_at = time.monotonic()
+    assert broker.expire_overdue() == 1
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert result["body"]["lease"]["lease_id"] == "L-orphan"
+    assert result["at"] - requeued_at < 0.15
+
+
+def test_held_claim_of_vanished_worker_takes_no_lease(worker_service):
+    """A worker that dies while its claim is held must not be handed
+    the next lease (it would sit claimed until its TTL lapsed)."""
+    svc, broker = worker_service
+    dead = broker.register("dead")["worker_id"]
+    body = json.dumps({"wait": 1.0}).encode()
+    with socket.create_connection(("127.0.0.1", svc.port)) as sock:
+        sock.sendall(f"POST /api/workers/{dead}/claim HTTP/1.1\r\n"
+                     f"Content-Length: {len(body)}\r\n\r\n".encode()
+                     + body)
+        time.sleep(0.1)
+    time.sleep(0.2)
+    broker.offer([one_lease("L-spare")])
+    time.sleep(0.1)
+    heir = broker.register("heir")["worker_id"]
+    assert broker.claim(heir)["lease_id"] == "L-spare"
+
+
+def test_claim_without_body_returns_at_once(worker_service):
+    svc, broker = worker_service
+    worker_id = broker.register("eager")["worker_id"]
+    started = time.monotonic()
+    status, body = post(svc.port, f"/api/workers/{worker_id}/claim")
+    assert (status, body) == (200, {"lease": None})
+    assert time.monotonic() - started < CLAIM_WAIT / 2
+
+
+def test_drain_answers_held_claims(running_service):
+    """stop() wakes held claims, which answer {"lease": null} instead of
+    being cut off or held to the end of their wait."""
+    service = running_service()
+    claims = [held_claim(service.svc.port,
+                         service.broker.register()["worker_id"], 1.0)
+              for _ in range(3)]
+    time.sleep(0.2)
+    stop_started = time.monotonic()
+    assert service.stop() < CLAIM_WAIT + 1.0
+    for thread, result in claims:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert (result["status"], result["body"]) == (200, {"lease": None})
+        assert result["at"] - stop_started < CLAIM_WAIT / 2
+
+
+def test_held_claims_do_not_starve_job_threads(running_service,
+                                               monkeypatch):
+    """Jobs run on the loop's default executor; held claims must not
+    occupy it. With more held claims than it has threads, and holds far
+    longer than the job, the job still finishes at once."""
+    hold = 5.0
+    monkeypatch.setattr(workers_mod, "CLAIM_WAIT", hold)
+    monkeypatch.setattr(server_mod, "CLAIM_WAIT", hold)
+    service = running_service()
+    n_workers = min(32, (os.cpu_count() or 1) + 4) + 2
+    stop = threading.Event()
+    threads = [threading.Thread(
+        target=run_worker, args=("127.0.0.1", service.svc.port),
+        kwargs=dict(name=f"held-{i}", runner=fast_runner, stop=stop,
+                    request_timeout=4 * hold), daemon=True)
+        for i in range(n_workers)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 10.0
+    while len(service.broker.workers_status()) < n_workers \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.3)  # every worker is now inside a held claim
+    client = ServiceClient("127.0.0.1", service.svc.port, timeout=10.0)
+    started = time.monotonic()
+    job = client.submit({"schemes": ["unsync"], "workloads": ["fibonacci"],
+                         "sers": [0.01], "trials": 4, "batch": 2})
+    status = client.wait(job["job_id"], timeout=30.0, poll_interval=0.02)
+    assert status["state"] == "done"
+    assert time.monotonic() - started < hold / 2
+    stop.set()
+    service.stop()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# malformed worker-API bodies
+# ---------------------------------------------------------------------------
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+worker_bodies = json_values | st.fixed_dictionaries({}, optional={
+    "name": json_values, "leases": json_values, "lease_id": json_values,
+    "records": json_values | st.lists(json_values, max_size=3),
+    "wait": json_values | st.floats(min_value=0.0, max_value=0.05)})
+
+
+def test_worker_routes_reject_malformed_bodies(worker_service):
+    """Any JSON body on a worker route gets an answer, never a dropped
+    connection; ``wait`` must be a non-negative number."""
+    svc, broker = worker_service
+    known = broker.register("target")["worker_id"]
+    for bad in ("[1]", '"x"', "null", '{"wait": -1}', '{"wait": NaN}',
+                '{"wait": "1"}', '{"wait": true}'):
+        assert post(svc.port, f"/api/workers/{known}/claim", bad)[0] == 400
+    assert post(svc.port, f"/api/workers/{known}/heartbeat",
+                '{"leases": 5}')[0] == 400
+    assert post(svc.port, f"/api/workers/{known}/results",
+                '{"records": 3, "lease_id": "L"}')[0] == 400
+    assert post(svc.port, f"/api/workers/{known}/results",
+                '{"records": [1], "lease_id": "L"}')[0] == 400
+
+    @settings(max_examples=60, deadline=None)
+    @given(body=worker_bodies,
+           route=st.sampled_from(["register", "claim", "heartbeat",
+                                  "results"]),
+           worker_id=st.sampled_from([known, "w-unknown"]))
+    def check(body, route, worker_id):
+        path = "/api/workers/register" if route == "register" \
+            else f"/api/workers/{worker_id}/{route}"
+        status, _ = post(svc.port, path, json.dumps(body))
+        assert status in {200, 400, 404}
+
+    check()
+    assert ServiceClient("127.0.0.1", svc.port).healthz()["ok"] is True
